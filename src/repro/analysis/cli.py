@@ -64,25 +64,6 @@ def build_parser():
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(e.g. FID001,FID003)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent incremental-analysis cache: "
-                             "modules whose content-addressed key "
-                             "(source + transitive dependency closure + "
-                             "analyzer environment) matches are served "
-                             "from DIR; output is byte-identical to an "
-                             "uncached run")
-    parser.add_argument("--changed-since", default=None, metavar="REV",
-                        help="report which modules the diff against git "
-                             "revision REV can affect (reporting only; "
-                             "finding correctness always comes from the "
-                             "cache keys)")
-    parser.add_argument("--impacted-modules", default=None, metavar="REV",
-                        help="print the modules impacted by the diff "
-                             "against REV, one per line, and exit")
-    parser.add_argument("--impacted-tests", default=None, metavar="REV",
-                        help="print the test files impacted by the diff "
-                             "against REV (static test->module "
-                             "reachability), one per line, and exit")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     parser.add_argument("--explain", nargs="+", default=None, metavar="ID",
@@ -129,27 +110,10 @@ def main(argv=None):
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
 
-    impact = None
-    rev = args.changed_since or args.impacted_modules or \
-        args.impacted_tests
-    if rev:
-        impact = _compute_impact(root, rev)
-        if impact is None:
-            return 2
-    if args.impacted_modules is not None:
-        for name in impact.impacted_modules:
-            print(name)
-        return 0
-    if args.impacted_tests is not None:
-        for path in impact.impacted_tests:
-            print(path)
-        return 0
-
     try:
         result = analyze(root, baseline_path=None if args.write_baseline
                          else baseline_path, select=select,
-                         jobs=args.jobs, cache_dir=args.cache_dir,
-                         reuse_workers=not args.fresh_workers)
+                         jobs=args.jobs, reuse_workers=not args.fresh_workers)
     except ValueError as exc:
         print("fidelint: %s" % exc, file=sys.stderr)
         return 2
@@ -168,50 +132,10 @@ def main(argv=None):
     if args.format == "json":
         payload = result.to_dict()
         payload["digest"] = findings_digest(result)
-        # outside the digest on purpose: hit ratios differ between
-        # cold/warm runs whose findings are byte-identical
-        if result.cache_stats is not None:
-            payload["cache_stats"] = result.cache_stats
-        if impact is not None:
-            payload["impact"] = impact.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         _render_human(result)
-        if result.cache_stats is not None:
-            stats = result.cache_stats
-            print("fidelint: cache: %d hit(s), %d miss(es), "
-                  "%d invalidation(s), %d module(s) re-analyzed, "
-                  "graph %s" % (
-                      stats["entry_hits"], stats["entry_misses"],
-                      stats["invalidations"], stats["modules_reanalyzed"],
-                      "hit" if stats["graph_hits"] else "miss"))
-        if impact is not None:
-            if impact.force_full:
-                print("fidelint: changed-since: full run forced (%s)"
-                      % impact.force_reason)
-            else:
-                print("fidelint: changed-since: %d changed module(s) -> "
-                      "%d impacted module(s), %d impacted test file(s)"
-                      % (len(impact.changed_modules),
-                         len(impact.impacted_modules),
-                         len(impact.impacted_tests)))
     return result.exit_code(strict=args.strict)
-
-
-def _compute_impact(root, rev):
-    """The diff-impact report for ``--changed-since`` and friends, or
-    None (usage error) when git cannot produce the diff."""
-    from repro.analysis.impact import (
-        ImpactError, ImpactGraph, assess, git_changed_paths)
-    repo_root = os.path.dirname(root)
-    try:
-        changed = git_changed_paths(repo_root, rev)
-    except ImpactError as exc:
-        print("fidelint: %s" % exc, file=sys.stderr)
-        return None
-    project = Project.load(root)
-    return assess(project, ImpactGraph.build(project), changed,
-                  repo_root)
 
 
 def _write_state_report(root, path):

@@ -12,65 +12,21 @@ and shared by every rule that declares ``needs_dataflow``, so:
   ``cfg_hits`` counters make this testable);
 * the function index and the summary fixpoint are computed once and
   reused by FID010/FID011/FID012.
-
-Two extensions support the incremental engine
-(:mod:`repro.analysis.cache`):
-
-* **staleness detection** — the context records the content hash of
-  every module at build time; ``Project.dataflow`` asks
-  :meth:`is_stale` on each access and swaps in :meth:`rebuilt` when a
-  module was reloaded mid-process, migrating only the CFG entries of
-  *unchanged* modules (CFG keys embed the content hash, so entries for
-  rewritten source are dropped, not served);
-* **summary presets** — ``preset_summaries`` / ``preset_effects`` hold
-  cache-restored fixpoint values for clean modules; the solvers treat
-  them as constants and iterate only the remaining (dirty) functions.
-  Soundness: a preset function's summary depends only on its own source
-  and its transitive callees' summaries, all of which are covered by
-  the cache key that produced the preset (see docs/static_analysis.md).
 """
 
 from repro.analysis.dataflow.cfg import build_cfg
 
 
 class DataflowContext:
-    def __init__(self, project, migrated_cfgs=None):
+    def __init__(self, project):
         self.project = project
-        self._cfgs = dict(migrated_cfgs or {})
+        self._cfgs = {}
         self.cfg_builds = 0
         self.cfg_hits = 0
         self._index = None
         self._summaries = None
         self._callgraph = None
         self._effects = None
-        #: cache-restored fixpoint values (qualname -> Summary /
-        #: EffectSummary) treated as constants by the solvers
-        self.preset_summaries = None
-        self.preset_effects = None
-        #: content hashes the shared state was built over
-        self._stamp = {name: module.content_hash
-                       for name, module in project.modules.items()}
-
-    def is_stale(self):
-        """True if any module was reloaded/replaced since this context
-        captured its hashes — the shared index/summaries would lie."""
-        modules = self.project.modules
-        if len(modules) != len(self._stamp):
-            return True
-        for name, module in modules.items():
-            if self._stamp.get(name) != module.content_hash:
-                return True
-        return False
-
-    def rebuilt(self):
-        """A fresh context over the project's *current* modules,
-        keeping CFG entries whose content hash still matches a live
-        module (they are immutable per content) and dropping the rest."""
-        live_hashes = {module.content_hash
-                       for module in self.project.modules.values()}
-        kept = {key: cfg for key, cfg in self._cfgs.items()
-                if key[0] in live_hashes}
-        return DataflowContext(self.project, migrated_cfgs=kept)
 
     @property
     def index(self):

@@ -391,18 +391,9 @@ def local_effects(fi, module, mutables, fn_aliases, module_aliases):
 def compute_effects(ctx):
     """qualname -> EffectSummary, to a least fixpoint over the call
     graph (monotone set union: recursion and mutual recursion simply
-    converge), then a bounded flow phase for ``returns_entropy``.
-
-    ``ctx.preset_effects`` (cache-restored values for clean modules)
-    are fixpoint constants: their local extraction, the worklist and
-    the entropy flow phase all run over dirty functions only.  A clean
-    function can never transitively call a dirty one (it would be in
-    the dirty module's reverse-dependency closure), so freezing the
-    presets cannot lose propagation.
-    """
+    converge), then a bounded flow phase for ``returns_entropy``."""
     index = ctx.index
     graph = ctx.callgraph
-    preset = ctx.preset_effects or {}
     alias_cache = {}
 
     def aliases_of(module):
@@ -420,17 +411,12 @@ def compute_effects(ctx):
 
     local = {}
     for fi in index.functions:
-        if fi.qualname in preset:
-            continue
         module = ctx.module_of(fi)
         fn_aliases, module_aliases = aliases_of(module)
         local[fi.qualname] = local_effects(
             fi, module, mutables_of(module), fn_aliases, module_aliases)
 
     sums = dict(local)
-    for fi in index.functions:
-        if fi.qualname in preset:
-            sums[fi.qualname] = preset[fi.qualname]
     work = deque(sorted(local))
     queued = set(work)
     while work:
@@ -446,8 +432,7 @@ def compute_effects(ctx):
                     work.append(caller)
                     queued.add(caller)
 
-    _fold_returns_entropy(ctx, sums, aliases_of, mutables_of,
-                          frozenset(local))
+    _fold_returns_entropy(ctx, sums, aliases_of, mutables_of)
     return sums
 
 
@@ -482,20 +467,17 @@ def _mentions_ambient(func_node):
     return False
 
 
-def _fold_returns_entropy(ctx, sums, aliases_of, mutables_of,
-                          dirty=None):
+def _fold_returns_entropy(ctx, sums, aliases_of, mutables_of):
     index = ctx.index
-    targets = [fi for fi in index.functions
-               if dirty is None or fi.qualname in dirty]
     mention_cache = {fi.qualname: _mentions_ambient(fi.node)
-                     for fi in targets}
+                     for fi in index.functions}
     names_cache = {fi.qualname: called_names(fi.node)
-                   for fi in targets}
+                   for fi in index.functions}
     for _round in range(MAX_ROUNDS):
         entropy_names = {fi.name for fi in index.functions
                          if sums[fi.qualname].returns_entropy}
         changed = False
-        for fi in targets:
+        for fi in index.functions:
             if sums[fi.qualname].returns_entropy:
                 continue
             if not (mention_cache[fi.qualname] or

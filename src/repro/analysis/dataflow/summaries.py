@@ -181,25 +181,15 @@ def _returns_mention_param(func_node):
 
 
 def compute_summaries(ctx):
-    """qualname -> Summary, to a least fixpoint over the call graph.
-
-    When ``ctx.preset_summaries`` carries cache-restored values for
-    clean modules, those are constants of the fixpoint: only the
-    remaining (dirty) functions are iterated.  A dirty function can
-    depend on a preset one (the preset value is final by the cache-key
-    argument), but never the reverse — a caller of dirty code is in the
-    dirty code's reverse-dependency closure and therefore dirty itself.
-    """
+    """qualname -> Summary, to a least fixpoint over the call graph."""
     from repro.analysis.dataflow import charges, taint, typestate
 
     index = ctx.index
-    preset = ctx.preset_summaries or {}
-    sums = {fi.qualname: preset.get(fi.qualname, EMPTY_SUMMARY)
-            for fi in index.functions}
-    dirty = [fi for fi in index.functions if fi.qualname not in preset]
-    names_cache = {fi.qualname: called_names(fi.node) for fi in dirty}
+    sums = {fi.qualname: EMPTY_SUMMARY for fi in index.functions}
+    names_cache = {fi.qualname: called_names(fi.node)
+                   for fi in index.functions}
     returns_param_cache = {fi.qualname: _returns_mention_param(fi.node)
-                           for fi in dirty}
+                           for fi in index.functions}
 
     def resolver_for(fi):
         def resolve(call):
@@ -217,7 +207,7 @@ def compute_summaries(ctx):
         charge_names = {fi.name for fi in index.functions
                         if sums[fi.qualname].always_charges}
         changed = False
-        for fi in dirty:
+        for fi in index.functions:
             if fi.name in typestate.OPEN_CALLS or \
                     fi.name in typestate.CLOSE_CALLS:
                 continue      # the primitives themselves stay EMPTY

@@ -31,11 +31,6 @@ class AnalysisResult:
     stale_baseline: list = field(default_factory=list)  # unmatched entries
     modules_scanned: int = 0
     rules_run: int = 0
-    #: incremental-cache counters (None on uncached runs).  Deliberately
-    #: NOT part of :meth:`to_dict`: the findings digest must be
-    #: byte-identical between cold, warm and uncached runs, and hit/miss
-    #: ratios obviously differ between them.
-    cache_stats: dict = field(default=None, compare=False)
 
     @property
     def error_count(self):
@@ -105,8 +100,7 @@ def _assign_occurrences(raw):
     """(Re)number occurrence counters over an ordered finding stream.
     The key is module-local and intra-module order is deterministic,
     so the numbering is identical whether findings came from one
-    process, N shards, or the incremental cache — idempotent by
-    construction."""
+    process or N shards — idempotent by construction."""
     occurrences = Counter()
     for finding in raw:
         key = (finding.rule_id, finding.module, finding.line_text)
@@ -132,28 +126,19 @@ def _raw_findings(project, rules, module_names):
     return _assign_occurrences(raw)
 
 
-def _analyze_worker(root, module_names, select, cache_dir=None):
-    """Shard worker: findings for one chunk of modules.
+def _analyze_worker(root, module_names, select):
+    """Shard worker: raw findings for one chunk of modules.
 
     Module-level and picklable on purpose — it is submitted to
     ``repro.runner`` as a :class:`WorkUnit`, which also makes it
     subject to fidelint's own FID013 shard-purity rule: it loads a
     fresh project per chunk (summaries are project-wide) precisely so
     it needs no process-global caching.
-
-    Returns ``(raw_findings, cache_stats_or_None)``.  With a cache the
-    worker computes keys for *every* module (keys need the whole-tree
-    graph anyway) but serves/recomputes only its own chunk.
     """
     project = Project.load(root)
     rules = _select_rules(all_rules(), select)
-    if cache_dir:
-        from repro.analysis.cache import run_cached
-        raw, cache = run_cached(project, rules, select, cache_dir,
-                                module_subset=module_names)
-        return _assign_occurrences(raw), cache.stats()
     _prepare_capabilities(project, rules)
-    return _raw_findings(project, rules, list(module_names)), None
+    return _raw_findings(project, rules, list(module_names))
 
 
 def _chunk(names, jobs):
@@ -168,39 +153,28 @@ def _chunk(names, jobs):
     return out
 
 
-def _parallel_raw(root, module_names, select, jobs, cache_dir=None,
-                  reuse_workers=True):
+def _parallel_raw(root, module_names, select, jobs, reuse_workers=True):
     from repro.runner import WorkUnit, execute
-    chunks = _chunk(module_names, jobs)
-    if not chunks:
-        return [], None
     units = [WorkUnit.of(("modules", index), _analyze_worker,
-                         root, chunk, select, cache_dir)
-             for index, chunk in enumerate(chunks)]
+                         root, chunk, select)
+             for index, chunk in enumerate(_chunk(module_names, jobs))]
     report = execute(units, jobs=jobs, reuse_workers=reuse_workers)
-    raw, stats = [], None
-    for chunk_findings, chunk_stats in report.values():
+    raw = []
+    for chunk_findings in report.values():
         raw.extend(chunk_findings)
-        if chunk_stats is not None:
-            if stats is None:
-                stats = dict.fromkeys(chunk_stats, 0)
-            for key, value in chunk_stats.items():
-                stats[key] += value
-    return _assign_occurrences(raw), stats
+    return _assign_occurrences(raw)
 
 
 def analyze(root, rules=None, baseline_path=None, select=None, jobs=1,
-            cache_dir=None, reuse_workers=True):
+            reuse_workers=True):
     """Analyze the tree under ``root`` and return an AnalysisResult.
 
     ``select`` limits the run to an iterable of rule ids;
     ``baseline_path`` points at the committed baseline (None = none);
     ``jobs > 1`` shards the analysis over worker processes via
     ``repro.runner`` (registry rules only — a custom ``rules`` list is
-    not picklable and forces the serial path).  ``cache_dir`` enables
-    the sound incremental cache (:mod:`repro.analysis.cache`; registry
-    rules only — a custom rules list is invisible to the cache key).
-    Output is byte-identical whatever ``jobs`` or the cache state was.
+    not picklable and forces the serial path).  Output is byte-identical
+    whatever ``jobs`` was.
     """
     custom_rules = rules is not None
     project = root if isinstance(root, Project) else Project.load(root)
@@ -210,21 +184,11 @@ def analyze(root, rules=None, baseline_path=None, select=None, jobs=1,
         select_normalized = tuple(sorted(
             rule_id.upper() for rule_id in select))
     rules = _select_rules(rules, select_normalized)
-    if custom_rules:
-        cache_dir = None
 
     module_names = sorted(project.modules)
-    cache_stats = None
     if jobs and jobs > 1 and not custom_rules:
-        raw, cache_stats = _parallel_raw(
-            project.root, module_names, select_normalized, jobs,
-            cache_dir, reuse_workers=reuse_workers)
-    elif cache_dir:
-        from repro.analysis.cache import run_cached
-        raw, cache = run_cached(project, rules, select_normalized,
-                                cache_dir)
-        _assign_occurrences(raw)
-        cache_stats = cache.stats()
+        raw = _parallel_raw(project.root, module_names, select_normalized,
+                            jobs, reuse_workers=reuse_workers)
     else:
         _prepare_capabilities(project, rules)
         raw = _raw_findings(project, rules, module_names)
@@ -232,8 +196,7 @@ def analyze(root, rules=None, baseline_path=None, select=None, jobs=1,
     baseline = load_baseline(baseline_path)
     matched_fingerprints = set()
     result = AnalysisResult(
-        modules_scanned=len(project.modules), rules_run=len(rules),
-        cache_stats=cache_stats)
+        modules_scanned=len(project.modules), rules_run=len(rules))
 
     for finding in raw:
         if finding.suppressed:

@@ -20,13 +20,7 @@ _COMMENT_LINE_RE = re.compile(r"^\s*(#|$)")
 
 
 class ModuleInfo:
-    """One parsed source module.
-
-    The AST is built lazily: a fully-warm incremental run
-    (:mod:`repro.analysis.cache`) serves every finding from the cache
-    by content hash alone and never needs to parse anything, which is
-    where most of its speedup over a cold run comes from.
-    """
+    """One parsed source module."""
 
     def __init__(self, name, path, rel_path, source):
         self.name = name                  # "repro.xen.npt"
@@ -34,7 +28,7 @@ class ModuleInfo:
         self.rel_path = rel_path          # path relative to the root
         self.source = source
         self.lines = source.splitlines()
-        self._tree = None
+        self.tree = ast.parse(source, filename=path)
         #: cache key for derived artifacts (CFGs): survives reloads of
         #: identical content, invalidates on any edit
         self.content_hash = hashlib.sha256(
@@ -42,12 +36,6 @@ class ModuleInfo:
         self.skip_file = bool(_SKIP_FILE_RE.search(source[:2048]))
         #: line number -> set of suppressed rule ids ("*" = all rules)
         self.suppressions = self._parse_suppressions()
-
-    @property
-    def tree(self):
-        if self._tree is None:
-            self._tree = ast.parse(self.source, filename=self.path)
-        return self._tree
 
     @property
     def subpackage(self):
@@ -132,37 +120,11 @@ class Project:
     @property
     def dataflow(self):
         """The per-run CFG/summary cache, built on first use so a run
-        of purely syntactic rules never pays for it.
-
-        The context remembers the content hash of every module it was
-        built over; if any module has been swapped mid-process (via
-        :meth:`reload_module` or direct replacement in ``modules``)
-        the stale shared state — function index, call graph, summary
-        and effect fixpoints, plus the changed modules' CFG entries —
-        is invalidated and the context rebuilt, so a second analysis
-        of the same :class:`Project` can never see first-run summaries
-        for rewritten source.
-        """
-        if self._dataflow is not None and self._dataflow.is_stale():
-            self._dataflow = self._dataflow.rebuilt()
+        of purely syntactic rules never pays for it."""
         if self._dataflow is None:
             from repro.analysis.dataflow.context import DataflowContext
             self._dataflow = DataflowContext(self)
         return self._dataflow
-
-    def reload_module(self, name):
-        """Re-read one module's source from disk; returns True if the
-        content changed.  Derived dataflow state is invalidated lazily
-        on the next :attr:`dataflow` access."""
-        old = self.modules[name]
-        with open(old.path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        if hashlib.sha256(source.encode("utf-8")).hexdigest() == \
-                old.content_hash:
-            return False
-        self.modules[name] = ModuleInfo(
-            name, old.path, old.rel_path, source)
-        return True
 
     @classmethod
     def load(cls, root):

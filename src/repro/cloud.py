@@ -21,7 +21,6 @@ the source is intact and re-enterable after any target-side failure.
 Every failure is recorded in :attr:`Cloud.events` for the operator.
 """
 
-import bisect
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -79,23 +78,21 @@ class Cloud:
         #: :attr:`events_recorded` keeps the lifetime total.
         self.events = deque(maxlen=event_log_limit)
         self.events_recorded = 0
-        #: tenants-per-host, O(1) to read (placement used to recount
-        #: every tenant per candidate host)
-        self._loads = [0] * hosts
-        #: sorted ``(load, host index)`` over non-quarantined hosts —
-        #: the head is always the least-loaded admissible candidate, so
-        #: placement is an index walk instead of a fleet scan, and the
-        #: bisect updates on launch/migrate/shutdown are O(log n)
-        self._load_index = [(0, i) for i in range(hosts)]
-        #: host index -> (staleness probe, cached perf contribution)
-        self._perf_cache = {}
-        self._perf_totals = None
 
     def __len__(self):
         return len(self.hosts)
 
     def host(self, index):
         return self.hosts[index]
+
+    def _check_index(self, index):
+        """Refuse a host index outside ``[0, len(hosts))`` with a clean
+        ReproError (a negative one would alias a host from the end).
+        :meth:`attest_host` checks every index it is handed, which
+        covers launch, migration and quarantine lifts."""
+        if not 0 <= index < len(self.hosts):
+            raise ReproError("no host %r in a %d-host cloud"
+                             % (index, len(self.hosts)))
 
     def authority(self, index):
         """Host ``index``'s hardware quote engine."""
@@ -114,86 +111,33 @@ class Cloud:
         """How many old events the ring buffer has already evicted."""
         return self.events_recorded - len(self.events)
 
-    @staticmethod
-    def _perf_probe(machine):
-        """A five-integer staleness probe for one host's perf state.
-
-        Sound because every memory-controller fast-path counter mutates
-        only on cycle-charging paths, every TLB hit/miss/eviction is one
-        of the probed counters, and the only zero-cycle TLB mutation
-        with observable perf output (``new_incarnation``) changes the
-        live-entry count.  A probe match therefore means the host's
-        cached contribution is still exact.
-        """
-        tlb = machine.tlb
-        return (machine.cycles.total, tlb.hits, tlb.misses,
-                tlb.evictions, len(tlb))
-
-    @staticmethod
-    def _perf_contribution(stats):
-        """One host's summable share of the fleet totals."""
-        host_tlb = stats["tlb"]
-        return {
-            "memctrl": dict(stats["memctrl"]),
-            "tlb": {
-                "hits": host_tlb["hits"],
-                "misses": host_tlb["misses"],
-                "evictions": host_tlb["evictions"],
-                "entries": host_tlb["entries"],
-                "roots": host_tlb["roots"],
-                "root_index_entries": sum(
-                    host_tlb["root_index_sizes"].values()),
-            },
-        }
-
     def perf_stats(self):
         """Fleet-wide simulator fast-path counters, one call per cloud.
 
         Sums every host's :meth:`~repro.hw.machine.Machine.perf_stats`
-        hierarchy counters — incrementally: each host's contribution is
-        cached against a cheap staleness probe (:meth:`_perf_probe`),
-        and only hosts whose probe moved are re-walked, their old
-        contribution subtracted and the fresh one added to integer-exact
-        running totals.  A quiescent fleet answers in O(hosts) probe
-        reads instead of O(hosts) full counter walks; the result is
-        defined to equal the full re-summation.
-
-        The keystream cache is process-global (one cache serves every
-        machine), so it is reported once rather than summed; the TLBs'
-        per-root occupancy maps collapse into a total entry count (root
-        PFNs are meaningless across hosts).
+        hierarchy counters.  The keystream cache is process-global (one
+        cache serves every machine), so it is reported once rather than
+        summed; the TLBs' per-root occupancy maps collapse into a total
+        entry count (root PFNs are meaningless across hosts).
         """
-        if self._perf_totals is None:
-            self._perf_totals = {
-                "memctrl": {},
-                "tlb": {"hits": 0, "misses": 0, "evictions": 0,
-                        "entries": 0, "roots": 0,
-                        "root_index_entries": 0},
-            }
-        totals = self._perf_totals
-        for index, host in enumerate(self.hosts):
-            probe = self._perf_probe(host.machine)
-            cached = self._perf_cache.get(index)
-            if cached is not None and cached[0] == probe:
-                continue
-            fresh = self._perf_contribution(host.machine.perf_stats())
-            if cached is not None:
-                stale = cached[1]
-                for key, value in stale["memctrl"].items():
-                    totals["memctrl"][key] -= value
-                for key, value in stale["tlb"].items():
-                    totals["tlb"][key] -= value
-            for key, value in fresh["memctrl"].items():
-                totals["memctrl"][key] = \
-                    totals["memctrl"].get(key, 0) + value
-            for key, value in fresh["tlb"].items():
-                totals["tlb"][key] += value
-            self._perf_cache[index] = (probe, fresh)
+        per_host = [host.machine.perf_stats() for host in self.hosts]
+        memctrl = {}
+        for stats in per_host:
+            for key, value in stats["memctrl"].items():
+                memctrl[key] = memctrl.get(key, 0) + value
+        tlb = {"hits": 0, "misses": 0, "evictions": 0, "entries": 0,
+               "roots": 0, "root_index_entries": 0}
+        for stats in per_host:
+            host_tlb = stats["tlb"]
+            for key in ("hits", "misses", "evictions", "entries", "roots"):
+                tlb[key] += host_tlb[key]
+            tlb["root_index_entries"] += sum(
+                host_tlb["root_index_sizes"].values())
         return {
             "hosts": len(self.hosts),
             "keystream_cache": crypto.keystream_cache_stats(),
-            "memctrl": dict(totals["memctrl"]),
-            "tlb": dict(totals["tlb"]),
+            "memctrl": memctrl,
+            "tlb": tlb,
             "events": {
                 "recorded": self.events_recorded,
                 "retained": len(self.events),
@@ -210,6 +154,7 @@ class Cloud:
         single bad quote mid-operation removes the host from the
         placement pool until an operator investigates.
         """
+        self._check_index(index)
         if index in self.quarantined:
             return False
         host = self.hosts[index]
@@ -220,7 +165,6 @@ class Cloud:
         if reason is None:
             return True
         self.quarantined.add(index)
-        self._index_discard(index)
         self._record("host-quarantined", host=index, reason=reason)
         return False
 
@@ -235,7 +179,6 @@ class Cloud:
         self.quarantined.discard(index)
         ok = self.attest_host(index)
         if ok:
-            self._index_add(index)
             self._record("quarantine-lifted", host=index)
         else:
             self._record("quarantine-lift-rejected", host=index)
@@ -247,52 +190,24 @@ class Cloud:
     # -- placement ----------------------------------------------------------------
 
     def _load(self, index):
-        return self._loads[index]
-
-    def _index_add(self, index):
-        entry = (self._loads[index], index)
-        at = bisect.bisect_left(self._load_index, entry)
-        if at < len(self._load_index) and self._load_index[at] == entry:
-            return
-        self._load_index.insert(at, entry)
-
-    def _index_discard(self, index):
-        entry = (self._loads[index], index)
-        at = bisect.bisect_left(self._load_index, entry)
-        if at < len(self._load_index) and self._load_index[at] == entry:
-            del self._load_index[at]
-
-    def _shift_load(self, index, delta):
-        """Move one host's tenant count, re-keying its index entry (a
-        quarantined host has no entry; only its count moves)."""
-        quarantined = index in self.quarantined
-        if not quarantined:
-            self._index_discard(index)
-        self._loads[index] += delta
-        if not quarantined:
-            self._index_add(index)
+        return sum(1 for tenant in self.tenants.values()
+                   if tenant.host_index == index)
 
     def pick_host(self, exclude=()):
         """The least-loaded host that passes attestation.
 
-        Walks the sorted load index from the head, so the first
-        non-excluded host that attests cleanly *is* the answer (ties
-        break to the lowest host index, as the old full scan's ``min``
-        did).  Hosts are attested lazily in candidate order; one that
-        fails is quarantined on the spot — which removes its entry, so
-        the same position holds the next candidate.
+        Admissible hosts (not quarantined, not excluded) are ordered by
+        ``(tenant count, host index)`` — ties break to the lowest index
+        — and attested lazily in that order, so the first that attests
+        cleanly *is* the answer.  One that fails is quarantined on the
+        spot and the walk moves on to the next candidate.
         """
-        at = 0
-        while at < len(self._load_index):
-            load, index = self._load_index[at]
-            if index in exclude:
-                at += 1
-                continue
+        candidates = sorted(
+            (self._load(index), index) for index in range(len(self.hosts))
+            if index not in self.quarantined and index not in exclude)
+        for _load, index in candidates:
             if self.attest_host(index):
                 return index
-            if (at < len(self._load_index)
-                    and self._load_index[at] == (load, index)):
-                at += 1      # entry survived the failed attestation
         raise ReproError("no host in the fleet passes attestation")
 
     def launch_tenant(self, name, owner, payload=b"", guest_frames=48,
@@ -308,7 +223,6 @@ class Cloud:
             name, owner, payload=payload, guest_frames=guest_frames)
         tenant = Tenant(name, owner, index, domain, ctx)
         self.tenants[name] = tenant
-        self._shift_load(index, +1)
         return tenant
 
     # -- mobility -------------------------------------------------------------------
@@ -333,32 +247,16 @@ class Cloud:
                          reason=str(exc))
             self.attest_host(to_host_index)
             raise
-        self._shift_load(tenant.host_index, -1)
-        self._shift_load(to_host_index, +1)
         tenant.host_index = to_host_index
         tenant.domain = domain
         tenant.ctx = ctx
         return tenant
 
-    def migrate_tenant(self, name, to_host_index=None, retries=2):
-        """Move a tenant; its handle keeps working afterwards.
-
-        With an explicit destination this is a single fail-closed
-        attempt.  With ``to_host_index=None`` the destination is chosen
-        from the attested pool and retried up to ``retries`` further
-        times, excluding hosts that already failed; if every candidate
-        fails, the error propagates with the tenant still running on its
-        original host.
-        """
-        tenant = self.tenants[name]
-        if to_host_index is not None:
-            if to_host_index == tenant.host_index:
-                return tenant
-            if not self.attest_host(to_host_index):
-                raise ReproError("refusing to migrate onto an "
-                                 "unattested host")
-            return self._migrate_once(tenant, to_host_index)
-
+    def _migrate_anywhere(self, tenant, retries, nowhere):
+        """Pick -> migrate -> exclude-on-failure, up to ``1 + retries``
+        attempts over the attested pool.  If every attempt fails, the
+        last migration error propagates (``nowhere`` when no destination
+        was ever found) with the tenant intact on its source."""
         excluded = {tenant.host_index}
         last_error = None
         for _ in range(1 + retries):
@@ -371,8 +269,29 @@ class Cloud:
             except ReproError as exc:
                 excluded.add(destination)
                 last_error = exc
-        raise last_error if last_error is not None else ReproError(
-            "no attested destination for tenant %r" % name)
+        raise last_error if last_error is not None else ReproError(nowhere)
+
+    def migrate_tenant(self, name, to_host_index=None, retries=2):
+        """Move a tenant; its handle keeps working afterwards.
+
+        With an explicit destination this is a single fail-closed
+        attempt.  With ``to_host_index=None`` the destination is chosen
+        from the attested pool and retried up to ``retries`` further
+        times, excluding hosts that already failed; if every candidate
+        fails, the error propagates with the tenant still running on its
+        original host.
+        """
+        tenant = self.tenants[name]
+        if to_host_index is None:
+            return self._migrate_anywhere(
+                tenant, retries,
+                "no attested destination for tenant %r" % name)
+        if to_host_index == tenant.host_index:
+            return tenant
+        if not self.attest_host(to_host_index):
+            raise ReproError("refusing to migrate onto an "
+                             "unattested host")
+        return self._migrate_once(tenant, to_host_index)
 
     def evacuate(self, host_index, retries=2):
         """Migrate every tenant off one host (maintenance drain).
@@ -382,33 +301,20 @@ class Cloud:
         candidate the drain stops with that tenant (and any not yet
         attempted) still intact on the source — never half-moved.
         """
+        self._check_index(host_index)
+        nowhere = ("nowhere to evacuate to" if retries >= 0
+                   else "evacuation retries exhausted")
         moved = []
         for tenant in list(self.tenants.values()):
             if tenant.host_index != host_index:
                 continue
-            excluded = {host_index}
-            last_error = None
-            for _ in range(1 + retries):
-                try:
-                    destination = self.pick_host(exclude=excluded)
-                except ReproError:
-                    break
-                try:
-                    self._migrate_once(tenant, destination)
-                    moved.append(tenant.name)
-                    last_error = None
-                    break
-                except ReproError as exc:
-                    excluded.add(destination)
-                    last_error = exc
-            else:
-                last_error = last_error or ReproError(
-                    "evacuation retries exhausted")
-            if tenant.host_index == host_index:
+            try:
+                self._migrate_anywhere(tenant, retries, nowhere)
+            except ReproError:
                 self._record("evacuation-stalled", tenant=tenant.name,
                              host=host_index)
-                raise last_error if last_error is not None else ReproError(
-                    "nowhere to evacuate to")
+                raise
+            moved.append(tenant.name)
         return moved
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -419,7 +325,6 @@ class Cloud:
         host = self.hosts[tenant.host_index]
         host.hypervisor.destroy_domain(tenant.domain)
         del self.tenants[name]
-        self._shift_load(tenant.host_index, -1)
 
     def inventory(self):
         """{host_index: [tenant names]} for every host."""

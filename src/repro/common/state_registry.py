@@ -31,8 +31,7 @@ ends of the stack: the fidelint effect rules (FID013/FID014/FID016)
 read it for enforcement, and ``repro.checkpoint`` hashes it into every
 manifest (:func:`repro.checkpoint.snapshot.registry_fingerprint`) so a
 checkpoint written against one state inventory fails closed when
-loaded under another.  ``repro.analysis.state_registry`` re-exports it
-for tooling-facing references.
+loaded under another.
 """
 
 from collections import namedtuple

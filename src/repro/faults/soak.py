@@ -7,10 +7,16 @@ the seed alone — run the same seed twice and :func:`schedule_bytes`
 returns identical bytes.
 
 The workload launches tenants with secret payloads, drives encrypted
-disk I/O, migrates every tenant, evacuates a host and shuts a tenant
-down, with faults armed at every boundary.  After each operation, and
-once more after disarming, the harness asserts the two paper-level
-properties the fault injection exists to defend:
+disk I/O, migrates tenants, evacuates a host and shuts a tenant down,
+with faults armed at every boundary.  It is a seeded
+:class:`~repro.fleet.events.EventQueue` schedule on a virtual clock,
+popped by one driver.  Two profiles fill the migration phase: the
+*classic* profile migrates every tenant once, in order; the *fleet*
+profile (``--fleet-profile``) runs a migration storm whose arrivals
+collide on shared instants and race through the queue's seeded
+tie-break.  After each operation, and once more after disarming, the
+harness asserts the two paper-level properties the fault injection
+exists to defend:
 
 * **placement** — every tenant is running on exactly one host (its
   domain live on the host its handle names, no duplicate incarnations
@@ -26,11 +32,11 @@ cancelled migration really leaves the source RUNNING) and runs the full
 Crash resumability (``--checkpoint-dir`` / ``--resume``): long soaks
 checkpoint themselves through :mod:`repro.checkpoint` — completed-seed
 results every ``--checkpoint-every`` seeds into a *progress* store, and
-(optionally) the live fleet mid-scenario every ``--checkpoint-events``
-fault firings into a per-seed store.  A killed soak resumed from its
-checkpoints produces a report and digest byte-identical to the
-uninterrupted run; CI's ``resume-equivalence`` job SIGKILLs a 20-seed
-soak at seed 10 and holds us to that.
+(optionally) the live fleet and its event queue mid-scenario every
+``--checkpoint-events`` fault firings into a per-seed store.  A killed
+soak resumed from its checkpoints produces a report and digest
+byte-identical to the uninterrupted run; CI's ``resume-equivalence``
+job SIGKILLs a 20-seed soak at seed 10 and holds us to that.
 """
 
 import json
@@ -68,7 +74,16 @@ DEFAULT_SEEDS = tuple(range(20))
 #: Manifest kinds this harness writes.
 PROGRESS_KIND = "soak-progress"
 INSEED_KIND = "soak-inseed"
-FLEET_INSEED_KIND = "soak-fleet-inseed"
+
+#: The workload profiles: how the schedule fills its migration phase.
+PROFILES = ("classic", "fleet")
+
+#: virtual spacing/spans (ns) of the schedule
+LAUNCH_SPACING_NS = 1_000_000
+STORM_SPAN_NS = 8_000_000
+#: storm arrivals snap to this grid so same-instant collisions (the
+#: interesting case for the seeded tie-break) actually happen
+STORM_SLOTS = 4
 
 
 @dataclass
@@ -146,71 +161,107 @@ def _tenant_setup(seed, tenants):
     return names, secrets, disk_secret
 
 
-def _launch_op(cloud, seed, name, index):
-    def op():
-        cloud.launch_tenant(name, GuestOwner(seed=seed * 101 + index),
-                            payload=_secret(seed, name),
-                            guest_frames=32)
-    return op
+def _scenario_params(hosts=3, tenants=2, frames=1024, nfaults=4,
+                     profile="classic", migrations=6):
+    """The parameters a checkpoint must match to be resumed.  Both
+    profiles carry ``profile``, so neither resumes the other's
+    checkpoints; only the storm has a size."""
+    if profile not in PROFILES:
+        raise ReproError("unknown soak profile %r" % profile)
+    params = {"hosts": hosts, "tenants": tenants, "frames": frames,
+              "nfaults": nfaults, "profile": profile}
+    if profile == "fleet":
+        params["migrations"] = migrations
+    return params
 
 
-def _disk_io_op(cloud, injectors, disk_secret, name):
-    def op():
-        tenant = cloud.tenants.get(name)
-        if tenant is None:
-            return
-        host = cloud.host(tenant.host_index)
-        encoder = host.aesni_encoder_for(tenant.ctx)
-        _, frontend, _ = host.attach_disk(
-            tenant.domain, tenant.ctx, sectors=64, encoder=encoder)
-        injectors[tenant.host_index].arm_ring(frontend.ring)
-        frontend.write(0, disk_secret)
-        frontend.read(0, 1)
-    return op
+def _schedule(seed, names, profile, migrations):
+    """The workload as a seeded, picklable event queue.
 
-
-def _migrate_op(cloud, name):
-    def op():
-        if name in cloud.tenants:
-            cloud.migrate_tenant(name)
-    return op
-
-
-def _shutdown_op(cloud, name):
-    def op():
-        if name in cloud.tenants:
-            cloud.shutdown_tenant(name)
-    return op
-
-
-def _scenario_ops(cloud, injectors, seed, names, disk_secret):
-    """The scripted workload, as an ordered ``(name, thunk)`` list.
-
-    The list (names, order, closure behavior) is a pure function of the
-    scenario parameters, so a resumed run rebuilds it against the
-    restored fleet and continues from the checkpointed op index.
+    Tenants launch one ``LAUNCH_SPACING_NS`` apart, then disk I/O,
+    the migration phase, the evacuation of host 0 and the last tenant's
+    shutdown.  The classic phase migrates every tenant once, in order,
+    at distinct instants; the fleet storm draws ``migrations`` victims
+    and snaps their arrivals to ``STORM_SLOTS`` shared instants.
     """
-    ops = []
+    queue = EventQueue(seed ^ 0x57E51)
     for index, name in enumerate(names):
-        ops.append(("launch:" + name, _launch_op(cloud, seed, name, index)))
-    ops.append(("disk-io", _disk_io_op(cloud, injectors, disk_secret,
-                                       names[0])))
-    for name in names:
-        ops.append(("migrate:" + name, _migrate_op(cloud, name)))
-    ops.append(("evacuate:0", lambda: cloud.evacuate(0)))
-    ops.append(("shutdown:" + names[-1], _shutdown_op(cloud, names[-1])))
-    return ops
+        queue.schedule(index * LAUNCH_SPACING_NS,
+                       Event.of("launch", name=name, index=index))
+    base = len(names) * LAUNCH_SPACING_NS
+    queue.schedule(base, Event.of("disk-io", name=names[0]))
+    if profile == "fleet":
+        rng = random.Random(seed * 7919 + 13)
+        slot = STORM_SPAN_NS // STORM_SLOTS
+        for _ in range(migrations):
+            victim = names[rng.randrange(len(names))]
+            queue.schedule(base + 1 + rng.randrange(STORM_SLOTS) * slot,
+                           Event.of("migrate", name=victim))
+    else:
+        for offset, name in enumerate(names, start=1):
+            queue.schedule(base + offset, Event.of("migrate", name=name))
+    queue.schedule(base + STORM_SPAN_NS + 1, Event.of("evacuate", host=0))
+    queue.schedule(base + STORM_SPAN_NS + 2,
+                   Event.of("shutdown", name=names[-1]))
+    return queue
 
 
-def _drive(cloud, injectors, result, secrets, ops, start_at, checkpointer,
-           seed, params):
-    """Run the workload from op ``start_at``, checkpointing between ops."""
-    for index in range(start_at, len(ops)):
-        name, op = ops[index]
+def _event_op(cloud, injectors, seed, disk_secret, event):
+    """One popped event as a named workload step, ``(name, thunk)``."""
+    kind, name = event.kind, event.get("name")
+    if kind == "launch":
+        def launch():
+            cloud.launch_tenant(
+                name, GuestOwner(seed=seed * 101 + event.get("index")),
+                payload=_secret(seed, name), guest_frames=32)
+        return "launch:" + name, launch
+    if kind == "disk-io":
+        def disk_io():
+            tenant = cloud.tenants.get(name)
+            if tenant is None:
+                return
+            host = cloud.host(tenant.host_index)
+            encoder = host.aesni_encoder_for(tenant.ctx)
+            _, frontend, _ = host.attach_disk(
+                tenant.domain, tenant.ctx, sectors=64, encoder=encoder)
+            injectors[tenant.host_index].arm_ring(frontend.ring)
+            frontend.write(0, disk_secret)
+            frontend.read(0, 1)
+        return "disk-io", disk_io
+    if kind == "migrate":
+        def migrate():
+            if name in cloud.tenants:
+                cloud.migrate_tenant(name)
+        return "migrate:" + name, migrate
+    if kind == "evacuate":
+        host = event.get("host")
+        return "evacuate:%d" % host, lambda: cloud.evacuate(host)
+    if kind == "shutdown":
+        def shutdown():
+            if name in cloud.tenants:
+                cloud.shutdown_tenant(name)
+        return "shutdown:" + name, shutdown
+    raise ReproError("unknown soak event kind %r" % kind)
+
+
+def _drive(cloud, injectors, result, queue, params, checkpointer):
+    """Pop the queue dry, attempting each event's op as it fires and
+    checkpointing between events, then run the final phase."""
+    _names, secrets, disk_secret = _tenant_setup(result.seed,
+                                                 params["tenants"])
+    while True:
+        item = queue.pop()
+        if item is None:
+            break
+        name, op = _event_op(cloud, injectors, result.seed, disk_secret,
+                             item[1])
         _attempt(result, cloud, secrets, name, op)
         if checkpointer is not None:
-            checkpointer.after_op(cloud, injectors, result, seed,
-                                  index + 1, params)
+            checkpointer.after_op(cloud, injectors, result, queue, params)
+    # The virtual clock enters the result (and so the soak digest):
+    # resume must restore it exactly, not just the remaining events.
+    result.completed_ops.append("fleet-clock:%d" % queue.now)
+    return _finish_scenario(cloud, injectors, result, secrets)
 
 
 def _finish_scenario(cloud, injectors, result, secrets):
@@ -259,15 +310,14 @@ class InSeedCheckpointer:
     """Writes one scenario's mid-run resume points.
 
     Every ``every_events`` fault firings, the live fleet, the partial
-    result and every injector's replay state go into ``store`` as a
-    ``soak-inseed`` checkpoint.  The injectors' instance-level wrappers
-    are unpicklable closures, so the protocol is disarm -> snapshot ->
-    re-arm; the wrappers carry no state (it all lives in the injector),
-    so the round trip is invisible to the run.
+    result, the event queue (pending events *and* virtual clock; events
+    are pure data and pickle byte-stably) and every injector's replay
+    state go into ``store`` as a ``soak-inseed`` checkpoint.  The
+    injectors' instance-level wrappers are unpicklable closures, so the
+    protocol is disarm -> snapshot -> re-arm; the wrappers carry no
+    state (it all lives in the injector), so the round trip is
+    invisible to the run.
     """
-
-    #: manifest kind written (the fleet profile overrides it)
-    kind = INSEED_KIND
 
     def __init__(self, store, every_events):
         self.store = store
@@ -278,8 +328,7 @@ class InSeedCheckpointer:
         """Continue the firing cadence from a restored run's counters."""
         self._written_at = _events_seen(injectors)
 
-    def after_op(self, cloud, injectors, result, seed, next_op, params,
-                 extra=None):
+    def after_op(self, cloud, injectors, result, queue, params):
         if not self.every_events:
             return
         seen = _events_seen(injectors)
@@ -290,32 +339,20 @@ class InSeedCheckpointer:
         for injector in injectors:
             injector.disarm()
         try:
-            payload = {"seed": seed, "params": params, "cloud": cloud,
-                       "result": result, "replay": replay,
-                       "next_op": next_op}
-            if extra:
-                payload.update(extra)
+            payload = {"params": params, "cloud": cloud, "result": result,
+                       "replay": replay, "queue": queue}
             manifest = snapshot(
-                payload, self.store, kind=self.kind,
+                payload, self.store, kind=INSEED_KIND,
                 machines=[host.machine for host in cloud.hosts],
-                meta={"seed": seed, "next_op": next_op, "events": seen})
+                meta={"seed": result.seed, "events": seen})
             self.store.commit(manifest)
         finally:
             _rearm_cloud(cloud, injectors)
 
 
-class FleetCheckpointer(InSeedCheckpointer):
-    """The fleet profile's variant: same disarm -> snapshot -> re-arm
-    protocol, but the payload carries the live :class:`EventQueue`
-    (pure-data events pickle byte-stably) instead of an op index — a
-    resumed scenario keeps popping the restored queue from the restored
-    virtual instant."""
-
-    kind = FLEET_INSEED_KIND
-
-
 def _resume_scenario(manifest, store, params, checkpointer, window):
-    """Pick one scenario back up from its newest in-seed checkpoint."""
+    """Pick one scenario back up from its newest in-seed checkpoint:
+    the restored queue keeps popping from the restored virtual instant."""
     if manifest.get("kind") != INSEED_KIND:
         raise CheckpointError(
             "checkpoint kind %r is not an in-seed soak checkpoint"
@@ -327,20 +364,15 @@ def _resume_scenario(manifest, store, params, checkpointer, window):
         raise CheckpointError(
             "checkpoint parameters %r do not match this run's %r: "
             "refusing to resume" % (payload["params"], params))
-    seed = payload["seed"]
     cloud = payload["cloud"]
     result = payload["result"]
-    plan = FaultPlan.random(seed, nfaults=params["nfaults"])
+    plan = FaultPlan.random(result.seed, nfaults=params["nfaults"])
     injectors = arm_cloud(cloud, plan, window=window)
     for injector, state in zip(injectors, payload["replay"]):
         injector.restore_replay_state(state)
-    if checkpointer is not None:
-        checkpointer.resync(injectors)
-    names, secrets, disk_secret = _tenant_setup(seed, params["tenants"])
-    ops = _scenario_ops(cloud, injectors, seed, names, disk_secret)
-    _drive(cloud, injectors, result, secrets, ops, payload["next_op"],
-           checkpointer, seed, params)
-    return _finish_scenario(cloud, injectors, result, secrets)
+    checkpointer.resync(injectors)
+    return _drive(cloud, injectors, result, payload["queue"], params,
+                  checkpointer)
 
 
 def fire_window(skip=0, limit=None):
@@ -355,18 +387,21 @@ def fire_window(skip=0, limit=None):
 
 
 def run_scenario(seed, hosts=3, tenants=2, frames=1024, nfaults=4,
-                 checkpoint_dir=None, every_events=0, window=None):
+                 profile="classic", migrations=6, checkpoint_dir=None,
+                 every_events=0, window=None):
     """One seeded scenario: build, arm, run the workload, verify.
 
-    With ``checkpoint_dir`` the scenario is crash-resumable: an in-seed
+    ``profile`` picks the schedule's migration phase (``"classic"`` or
+    the ``"fleet"`` storm of ``migrations`` arrivals).  With
+    ``checkpoint_dir`` the scenario is crash-resumable: an in-seed
     checkpoint lands every ``every_events`` fault firings, and a store
     that already holds one resumes from it instead of restarting —
     byte-identical to the uninterrupted run.  ``window`` (from
     :func:`fire_window`) restricts which fault firings are admitted,
     for the bisector's fault-window search.
     """
-    params = {"hosts": hosts, "tenants": tenants, "frames": frames,
-              "nfaults": nfaults}
+    params = _scenario_params(hosts, tenants, frames, nfaults, profile,
+                              migrations)
     checkpointer = None
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
@@ -378,184 +413,39 @@ def run_scenario(seed, hosts=3, tenants=2, frames=1024, nfaults=4,
     plan = FaultPlan.random(seed, nfaults=nfaults)
     cloud = Cloud(hosts=hosts, frames=frames, seed=0xB000 + seed)
     injectors = arm_cloud(cloud, plan, window=window)
-    result = SoakResult(seed=seed)
-    names, secrets, disk_secret = _tenant_setup(seed, tenants)
-    ops = _scenario_ops(cloud, injectors, seed, names, disk_secret)
-    _drive(cloud, injectors, result, secrets, ops, 0, checkpointer,
-           seed, params)
-    return _finish_scenario(cloud, injectors, result, secrets)
-
-
-# -- the fleet profile -----------------------------------------------------------
-#
-# The classic scenario runs its ops in list order.  The fleet profile
-# runs the *same kind of ops* off a :class:`repro.fleet.events.EventQueue`:
-# a migration storm whose arrivals are scheduled on a virtual clock with
-# seeded tie-breaks, so same-instant collisions race reproducibly while
-# the fault injectors fire inside the storm.  Checkpoints carry the live
-# queue (events are pure data), and a resumed run keeps popping it from
-# the restored virtual instant — the round trip the fleet-soak test
-# proves byte-identical.
-
-#: virtual spacing/spans (ns) for the fleet profile's schedule
-FLEET_LAUNCH_SPACING_NS = 1_000_000
-FLEET_STORM_SPAN_NS = 8_000_000
-#: storm arrivals snap to this grid so same-instant collisions (the
-#: interesting case for the seeded tie-break) actually happen
-FLEET_STORM_SLOTS = 4
-
-
-def _fleet_schedule(seed, names, migrations):
-    """The storm schedule as a seeded, picklable event queue."""
-    queue = EventQueue(seed ^ 0x57E51)
-    rng = random.Random(seed * 7919 + 13)
-    for index, name in enumerate(names):
-        queue.schedule(index * FLEET_LAUNCH_SPACING_NS,
-                       Event.of("launch", name=name, index=index))
-    base = len(names) * FLEET_LAUNCH_SPACING_NS
-    queue.schedule(base, Event.of("disk-io", name=names[0]))
-    slot = FLEET_STORM_SPAN_NS // FLEET_STORM_SLOTS
-    for _ in range(migrations):
-        victim = names[rng.randrange(len(names))]
-        queue.schedule(base + 1 + rng.randrange(FLEET_STORM_SLOTS) * slot,
-                       Event.of("migrate", name=victim))
-    queue.schedule(base + FLEET_STORM_SPAN_NS + 1,
-                   Event.of("evacuate", host=0))
-    queue.schedule(base + FLEET_STORM_SPAN_NS + 2,
-                   Event.of("shutdown", name=names[-1]))
-    return queue
-
-
-def _fleet_event_op(cloud, injectors, seed, disk_secret, event):
-    """One popped event mapped onto the scripted-workload op factories."""
-    kind = event.kind
-    if kind == "launch":
-        name = event.get("name")
-        return ("launch:" + name,
-                _launch_op(cloud, seed, name, event.get("index")))
-    if kind == "disk-io":
-        return ("disk-io",
-                _disk_io_op(cloud, injectors, disk_secret,
-                            event.get("name")))
-    if kind == "migrate":
-        name = event.get("name")
-        return ("migrate:" + name, _migrate_op(cloud, name))
-    if kind == "evacuate":
-        host = event.get("host")
-        return ("evacuate:%d" % host, lambda: cloud.evacuate(host))
-    if kind == "shutdown":
-        name = event.get("name")
-        return ("shutdown:" + name, _shutdown_op(cloud, name))
-    raise ReproError("unknown fleet soak event kind %r" % kind)
-
-
-def _drive_fleet(cloud, injectors, result, secrets, queue, checkpointer,
-                 seed, params, disk_secret):
-    """Pop the queue dry, attempting each event's op as it fires."""
-    while True:
-        item = queue.pop()
-        if item is None:
-            break
-        _when, event = item
-        name, op = _fleet_event_op(cloud, injectors, seed, disk_secret,
-                                   event)
-        _attempt(result, cloud, secrets, name, op)
-        if checkpointer is not None:
-            checkpointer.after_op(cloud, injectors, result, seed, 0,
-                                  params, extra={"queue": queue})
-    # The virtual clock enters the result (and so the soak digest):
-    # resume must restore it exactly, not just the remaining events.
-    result.completed_ops.append("fleet-clock:%d" % queue.now)
-
-
-def _resume_fleet_scenario(manifest, store, params, checkpointer, window):
-    """Continue a fleet-profile scenario from its restored queue."""
-    if manifest.get("kind") != FLEET_INSEED_KIND:
-        raise CheckpointError(
-            "checkpoint kind %r is not a fleet-profile soak checkpoint"
-            % manifest.get("kind"))
-    payload = restore(
-        manifest, store,
-        machines_of=lambda p: [h.machine for h in p["cloud"].hosts])
-    if payload["params"] != params:
-        raise CheckpointError(
-            "checkpoint parameters %r do not match this run's %r: "
-            "refusing to resume" % (payload["params"], params))
-    seed = payload["seed"]
-    cloud = payload["cloud"]
-    result = payload["result"]
-    queue = payload["queue"]
-    plan = FaultPlan.random(seed, nfaults=params["nfaults"])
-    injectors = arm_cloud(cloud, plan, window=window)
-    for injector, state in zip(injectors, payload["replay"]):
-        injector.restore_replay_state(state)
-    if checkpointer is not None:
-        checkpointer.resync(injectors)
-    names, secrets, disk_secret = _tenant_setup(seed, params["tenants"])
-    _drive_fleet(cloud, injectors, result, secrets, queue, checkpointer,
-                 seed, params, disk_secret)
-    return _finish_scenario(cloud, injectors, result, secrets)
-
-
-def run_fleet_scenario(seed, hosts=3, tenants=2, frames=1024, nfaults=4,
-                       migrations=6, checkpoint_dir=None, every_events=0,
-                       window=None):
-    """One seeded fleet-profile scenario: the storm schedule comes off
-    a virtual-clock event queue, faults fire inside it, and the same
-    placement/confidentiality checks run after every event.
-
-    Checkpoint/resume semantics match :func:`run_scenario`, with the
-    queue (pending events *and* virtual clock) riding in the payload;
-    the parameter comparison fails closed across profiles because the
-    params dict carries ``"profile": "fleet"``.
-    """
-    params = {"hosts": hosts, "tenants": tenants, "frames": frames,
-              "nfaults": nfaults, "migrations": migrations,
-              "profile": "fleet"}
-    checkpointer = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        checkpointer = FleetCheckpointer(store, every_events)
-        manifest = store.latest()
-        if manifest is not None:
-            return _resume_fleet_scenario(manifest, store, params,
-                                          checkpointer, window)
-    plan = FaultPlan.random(seed, nfaults=nfaults)
-    cloud = Cloud(hosts=hosts, frames=frames, seed=0xB000 + seed)
-    injectors = arm_cloud(cloud, plan, window=window)
-    result = SoakResult(seed=seed)
-    names, secrets, disk_secret = _tenant_setup(seed, tenants)
-    queue = _fleet_schedule(seed, names, migrations)
-    _drive_fleet(cloud, injectors, result, secrets, queue, checkpointer,
-                 seed, params, disk_secret)
-    return _finish_scenario(cloud, injectors, result, secrets)
+    names = _tenant_setup(seed, tenants)[0]
+    queue = _schedule(seed, names, profile, migrations)
+    return _drive(cloud, injectors, SoakResult(seed=seed), queue, params,
+                  checkpointer)
 
 
 # -- sweeps ----------------------------------------------------------------------
 
 
 def soak_report(seeds=DEFAULT_SEEDS, jobs=1, reuse_workers=True,
-                fleet_profile=False, **scenario_kwargs):
+                checkpoint_dir=None, every_events=0, **scenario_kwargs):
     """Run every seed through the sharded runner; returns the
     :class:`~repro.runner.executor.RunReport` (per-shard wall-clock,
     utilization, diagnostic events) with results in seed order.
 
-    ``fleet_profile=True`` runs :func:`run_fleet_scenario` (the
-    event-queue storm schedule) instead of the classic op list; the two
-    submission sites stay separate so shard purity is auditable
-    statically.
+    With ``checkpoint_dir`` and ``every_events`` each scenario
+    checkpoints itself mid-run into its own per-seed store
+    (:func:`repro.runner.unit_checkpoint_path`, so sharded workers
+    never share a store).
 
     Every scenario is shared-nothing and fully seed-determined, so the
     merged results are byte-identical whatever ``jobs`` is — the
     ``parallel-equivalence`` CI job and
     ``tests/runner/test_parallel_equivalence.py`` hold us to that.
     """
-    if fleet_profile:
-        units = [WorkUnit.of(seed, run_fleet_scenario, seed,
-                             **scenario_kwargs) for seed in seeds]
-    else:
-        units = [WorkUnit.of(seed, run_scenario, seed, **scenario_kwargs)
-                 for seed in seeds]
+    units = []
+    for seed in seeds:
+        kwargs = dict(scenario_kwargs)
+        if checkpoint_dir is not None and every_events:
+            kwargs.update(
+                checkpoint_dir=unit_checkpoint_path(checkpoint_dir, seed),
+                every_events=every_events)
+        units.append(WorkUnit.of(seed, run_scenario, seed, **kwargs))
     return execute(units, jobs=jobs, reuse_workers=reuse_workers)
 
 
@@ -588,16 +478,14 @@ def _write_progress(store, results, next_index, params):
 
 def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
                    resume=False, jobs=1, sigkill_after=None,
-                   reuse_workers=True, fleet_profile=False,
-                   **scenario_kwargs):
+                   reuse_workers=True, **scenario_kwargs):
     """A seed sweep that survives being killed at any instant.
 
     Completed-seed results are checkpointed into
     ``<checkpoint_dir>/progress`` every ``every_seeds`` seeds; each
     scenario additionally checkpoints itself mid-run every
-    ``every_events`` fault firings into its own per-seed store
-    (:func:`repro.runner.unit_checkpoint_path`, so sharded workers
-    never share a store).  With ``resume=True`` the sweep continues
+    ``every_events`` fault firings into its own per-seed store (see
+    :func:`soak_report`).  With ``resume=True`` the sweep continues
     from whatever the stores hold — re-running completed chunks never,
     half-done scenarios from their last in-seed checkpoint — and the
     final result list is byte-identical to an uninterrupted run.
@@ -609,14 +497,7 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
     process — the hook CI's resume-equivalence job interrupts with.
     """
     seeds = list(seeds)
-    params = {"hosts": scenario_kwargs.get("hosts", 3),
-              "tenants": scenario_kwargs.get("tenants", 2),
-              "frames": scenario_kwargs.get("frames", 1024),
-              "nfaults": scenario_kwargs.get("nfaults", 4),
-              "profile": "fleet" if fleet_profile else "classic",
-              "seeds": seeds}
-    if fleet_profile:
-        params["migrations"] = scenario_kwargs.get("migrations", 6)
+    params = dict(_scenario_params(**scenario_kwargs), seeds=seeds)
     store = _progress_store(checkpoint_dir)
     results, start = [], 0
     manifest = store.latest()
@@ -644,20 +525,10 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
             else len(seeds)
         if sigkill_after is not None and index < sigkill_after <= stop:
             stop = sigkill_after
-        units = []
-        for seed in seeds[index:stop]:
-            kwargs = dict(scenario_kwargs)
-            if every_events:
-                kwargs["checkpoint_dir"] = \
-                    unit_checkpoint_path(checkpoint_dir, seed)
-                kwargs["every_events"] = every_events
-            if fleet_profile:
-                units.append(WorkUnit.of(seed, run_fleet_scenario, seed,
-                                         **kwargs))
-            else:
-                units.append(WorkUnit.of(seed, run_scenario, seed,
-                                         **kwargs))
-        report = execute(units, jobs=jobs, reuse_workers=reuse_workers)
+        report = soak_report(seeds[index:stop], jobs=jobs,
+                             reuse_workers=reuse_workers,
+                             checkpoint_dir=checkpoint_dir,
+                             every_events=every_events, **scenario_kwargs)
         results.extend(report.values())
         index = stop
         _write_progress(store, results, index, params)
@@ -717,7 +588,8 @@ def main(argv=None):
     scenario_kwargs = {"hosts": args.hosts, "tenants": args.tenants,
                        "nfaults": args.nfaults}
     if args.fleet_profile:
-        scenario_kwargs["migrations"] = args.fleet_migrations
+        scenario_kwargs.update(profile="fleet",
+                               migrations=args.fleet_migrations)
     report = None
     if args.checkpoint_dir:
         results = resumable_soak(
@@ -726,12 +598,10 @@ def main(argv=None):
             every_events=args.checkpoint_events,
             resume=args.resume, jobs=args.jobs,
             reuse_workers=not args.fresh_workers,
-            sigkill_after=args.sigkill_after,
-            fleet_profile=args.fleet_profile, **scenario_kwargs)
+            sigkill_after=args.sigkill_after, **scenario_kwargs)
     else:
         report = soak_report(range(args.seeds), jobs=args.jobs,
                              reuse_workers=not args.fresh_workers,
-                             fleet_profile=args.fleet_profile,
                              **scenario_kwargs)
         results = report.values()
     for result in results:

@@ -1,8 +1,9 @@
 """The soak's ``--fleet-profile``: event-queue storms, resumable clocks.
 
-The fleet profile replaces the classic linear op list with a
-virtual-clock :class:`~repro.fleet.events.EventQueue` schedule (storm
-migrations snapped to shared instants so the seeded tie-break resolves
+Both soak profiles are virtual-clock
+:class:`~repro.fleet.events.EventQueue` schedules popped by one
+driver; the fleet profile fills the migration phase with a storm
+(arrivals snapped to shared instants so the seeded tie-break resolves
 real races) while keeping every fault-injection and confidentiality
 check of the classic soak.  These tests pin the three contracts the
 profile adds: seed determinism, byte-identical checkpoint/resume (the
@@ -16,25 +17,24 @@ import pytest
 
 from repro.checkpoint.store import CheckpointError
 from repro.faults.soak import (
-    FLEET_INSEED_KIND,
+    INSEED_KIND,
     results_digest,
-    run_fleet_scenario,
     run_scenario,
     soak_report,
 )
 
 PARAMS = {"hosts": 2, "tenants": 2, "frames": 512, "nfaults": 3,
-          "migrations": 4}
+          "profile": "fleet", "migrations": 4}
 
 
 class TestDeterminism:
     def test_same_seed_is_byte_identical(self):
-        first = run_fleet_scenario(5, **PARAMS)
-        second = run_fleet_scenario(5, **PARAMS)
+        first = run_scenario(5, **PARAMS)
+        second = run_scenario(5, **PARAMS)
         assert pickle.dumps(first) == pickle.dumps(second)
 
     def test_virtual_clock_enters_the_result(self):
-        result = run_fleet_scenario(5, **PARAMS)
+        result = run_scenario(5, **PARAMS)
         clock_marks = [op for op in result.completed_ops
                        if op.startswith("fleet-clock:")]
         assert len(clock_marks) == 1
@@ -43,54 +43,56 @@ class TestDeterminism:
     def test_fleet_profile_differs_from_classic(self):
         classic = run_scenario(5, hosts=2, tenants=2, frames=512,
                                nfaults=3)
-        fleet = run_fleet_scenario(5, **PARAMS)
+        fleet = run_scenario(5, **PARAMS)
         assert classic.completed_ops != fleet.completed_ops
 
     def test_sharded_sweep_digest_matches_serial(self):
-        serial = soak_report(seeds=(1, 2), jobs=1, fleet_profile=True,
-                             **PARAMS)
+        serial = soak_report(seeds=(1, 2), jobs=1, **PARAMS)
         sharded = soak_report(seeds=(1, 2), jobs=2, reuse_workers=False,
-                              fleet_profile=True, **PARAMS)
+                              **PARAMS)
         assert results_digest(serial.values()) == \
             results_digest(sharded.values())
 
 
 class TestCheckpointResume:
     def test_checkpointed_run_matches_plain_run(self, tmp_path):
-        baseline = run_fleet_scenario(5, **PARAMS)
-        checkpointed = run_fleet_scenario(
+        baseline = run_scenario(5, **PARAMS)
+        checkpointed = run_scenario(
             5, checkpoint_dir=str(tmp_path / "unit"), every_events=1,
             **PARAMS)
         assert pickle.dumps(checkpointed) == pickle.dumps(baseline)
 
     def test_resume_restores_queue_and_clock_byte_for_byte(self, tmp_path):
-        baseline = run_fleet_scenario(5, **PARAMS)
-        run_fleet_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                           every_events=1, **PARAMS)
-        resumed = run_fleet_scenario(
+        baseline = run_scenario(5, **PARAMS)
+        run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
+                     every_events=1, **PARAMS)
+        resumed = run_scenario(
             5, checkpoint_dir=str(tmp_path / "unit"), every_events=1,
             **PARAMS)
         assert pickle.dumps(resumed) == pickle.dumps(baseline)
 
     def test_checkpoints_carry_the_fleet_kind(self, tmp_path):
+        # one in-seed kind for both profiles; the profile rides in the
+        # checkpoint parameters
         from repro.checkpoint.store import CheckpointStore
-        run_fleet_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                           every_events=1, **PARAMS)
+        run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
+                     every_events=1, **PARAMS)
         manifest = CheckpointStore(str(tmp_path / "unit")).require_latest()
-        assert manifest["kind"] == FLEET_INSEED_KIND
+        assert manifest["kind"] == INSEED_KIND
 
     def test_classic_checkpoint_refuses_fleet_resume(self, tmp_path):
         run_scenario(5, hosts=2, tenants=2, frames=512, nfaults=3,
                      checkpoint_dir=str(tmp_path / "unit"),
                      every_events=1)
-        with pytest.raises(CheckpointError):
-            run_fleet_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                               every_events=1, **PARAMS)
+        # same in-seed kind, but the params' "profile" entry differs
+        with pytest.raises(CheckpointError, match="parameters"):
+            run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
+                         every_events=1, **PARAMS)
 
     def test_resume_rejects_parameter_drift(self, tmp_path):
-        run_fleet_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                           every_events=1, **PARAMS)
+        run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
+                     every_events=1, **PARAMS)
         other = dict(PARAMS, migrations=PARAMS["migrations"] + 1)
         with pytest.raises(CheckpointError, match="parameters"):
-            run_fleet_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                               every_events=1, **other)
+            run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
+                         every_events=1, **other)

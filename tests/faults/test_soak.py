@@ -36,6 +36,16 @@ class TestSmoke:
         # one schedule would mean the plan seeding is broken.
         assert len(schedules) > 1
 
+    def test_classic_profile_keeps_the_scripted_order(self):
+        # the classic op list, run as an event-queue schedule, pops in
+        # list order and ends with the schedule's virtual clock
+        ops = run_scenario(0).completed_ops
+        assert ops[:-1] == ["launch:t0", "launch:t1", "disk-io",
+                            "migrate:t0", "migrate:t1", "evacuate:0",
+                            "shutdown:t1"]
+        prefix, clock = ops[-1].split(":")
+        assert prefix == "fleet-clock" and int(clock) > 0
+
     def test_describe_is_operator_readable(self):
         line = run_scenario(0).describe()
         assert "seed=0" in line

@@ -193,9 +193,9 @@ class TestFleetPerfStats:
 
 
 class TestLoadIndex:
-    """The sorted free-capacity index behind ``pick_host`` must mirror
-    the O(n) truth (tenant counts over non-quarantined hosts) across
-    every mutation path."""
+    """``pick_host`` orders admissible hosts by (tenant count, index):
+    after every mutation path its answer must be the head of that order
+    recomputed from scratch."""
 
     @staticmethod
     def _rebuilt(cloud):
@@ -205,17 +205,20 @@ class TestLoadIndex:
         return sorted((counts[i], i) for i in range(len(cloud.hosts))
                       if i not in cloud.quarantined)
 
+    def _assert_picks_head(self, cloud):
+        assert cloud.pick_host() == self._rebuilt(cloud)[0][1]
+
     def test_index_tracks_launch_migrate_shutdown(self):
         cloud = Cloud(hosts=3, frames=2048, seed=0x1DE0)
-        assert cloud._load_index == self._rebuilt(cloud)
+        self._assert_picks_head(cloud)
         for i in range(3):
             t = cloud.launch_tenant("t%d" % i, GuestOwner(seed=20 + i))
             t.ctx.hypercall(hc.HC_SCHED_YIELD)
-            assert cloud._load_index == self._rebuilt(cloud)
+            self._assert_picks_head(cloud)
         cloud.migrate_tenant("t0")
-        assert cloud._load_index == self._rebuilt(cloud)
+        self._assert_picks_head(cloud)
         cloud.shutdown_tenant("t1")
-        assert cloud._load_index == self._rebuilt(cloud)
+        self._assert_picks_head(cloud)
 
     def test_quarantined_host_leaves_the_index(self):
         cloud = Cloud(hosts=3, frames=2048, seed=0x1DE1)
@@ -223,28 +226,30 @@ class TestLoadIndex:
         host2.machine.memory.write(
             host2.hypervisor.text.base_va + 0x600, b"\xCC")
         assert not cloud.attest_host(2)
-        assert cloud._load_index == self._rebuilt(cloud)
-        assert all(index != 2 for _load, index in cloud._load_index)
+        with pytest.raises(ReproError):
+            cloud.pick_host(exclude={0, 1})
 
     def test_lift_restores_the_index_entry(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0x1DE2)
         cloud.quarantined.add(1)
-        cloud._index_discard(1)
+        with pytest.raises(ReproError):
+            cloud.pick_host(exclude={0})
         assert cloud.lift_quarantine(1)
-        assert cloud._load_index == self._rebuilt(cloud)
+        assert cloud.pick_host(exclude={0}) == 1
 
     def test_load_moves_while_quarantined(self):
         # a quarantined host's tenant count still moves (shutdowns of
-        # residents), and the host re-enters the index with the right key
+        # residents), and the host re-enters placement with that count
         cloud = Cloud(hosts=2, frames=2048, seed=0x1DE3)
-        t = cloud.launch_tenant("t", GuestOwner(seed=9), host_index=1)
-        t.ctx.hypercall(hc.HC_SCHED_YIELD)
+        for name, index in (("t0", 0), ("t", 1)):
+            t = cloud.launch_tenant(name, GuestOwner(seed=9 + index),
+                                    host_index=index)
+            t.ctx.hypercall(hc.HC_SCHED_YIELD)
         cloud.quarantined.add(1)
-        cloud._index_discard(1)
         cloud.shutdown_tenant("t")
-        cloud.quarantined.discard(1)
-        cloud._index_add(1)
-        assert cloud._load_index == self._rebuilt(cloud)
+        assert cloud.lift_quarantine(1)
+        assert cloud.pick_host() == 1          # 0 tenants beats 1
+        self._assert_picks_head(cloud)
 
     def test_pick_host_is_least_loaded_lowest_index(self):
         cloud = Cloud(hosts=3, frames=2048, seed=0x1DE4)
@@ -261,7 +266,7 @@ class TestLoadIndex:
             host0.hypervisor.text.base_va + 0x600, b"\xCC")
         assert cloud.pick_host() == 1
         assert 0 in cloud.quarantined          # discovered and removed
-        assert cloud._load_index == self._rebuilt(cloud)
+        assert cloud.event_kinds() == ["host-quarantined"]
 
     def test_evacuate_uses_the_index(self):
         cloud = Cloud(hosts=3, frames=2048, seed=0x1DE6)
@@ -273,44 +278,52 @@ class TestLoadIndex:
         assert sorted(moved) == ["t0", "t1"]
         # spread, not pile-up: the drain re-picks per tenant
         assert cloud.inventory() == {0: [], 1: ["t0"], 2: ["t1"]}
-        assert cloud._load_index == self._rebuilt(cloud)
 
 
 class TestIncrementalPerfStats:
+    """``perf_stats`` re-sums every host on each call: it must equal
+    the per-host sum whenever it is read, across launches and
+    migrations."""
+
+    @staticmethod
+    def _assert_sums_hosts(stats, cloud):
+        per_host = [h.machine.perf_stats() for h in cloud.hosts]
+        for key in ("hits", "misses", "evictions", "entries", "roots"):
+            assert stats["tlb"][key] == sum(s["tlb"][key] for s in per_host)
+        assert stats["tlb"]["root_index_entries"] == sum(
+            sum(s["tlb"]["root_index_sizes"].values()) for s in per_host)
+        for key in per_host[0]["memctrl"]:
+            assert stats["memctrl"][key] == sum(
+                s["memctrl"][key] for s in per_host)
+
     def test_incremental_equals_full_rewalk(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0xF03)
-        cloud.perf_stats()                     # prime the caches
+        cloud.perf_stats()
         t = cloud.launch_tenant("t", GuestOwner(seed=4), payload=b"p",
                                 guest_frames=32)
         t.ctx.hypercall(hc.HC_SCHED_YIELD)
-        incremental = cloud.perf_stats()
-        per_host = [h.machine.perf_stats() for h in cloud.hosts]
-        for key in ("hits", "misses", "evictions", "entries", "roots"):
-            assert incremental["tlb"][key] == \
-                sum(s["tlb"][key] for s in per_host)
-        for key in per_host[0]["memctrl"]:
-            assert incremental["memctrl"][key] == \
-                sum(s["memctrl"][key] for s in per_host)
+        self._assert_sums_hosts(cloud.perf_stats(), cloud)
 
     def test_quiescent_fleet_answers_from_cache(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0xF04)
         first = cloud.perf_stats()
-        probes = {i: cloud._perf_cache[i][0] for i in range(2)}
         second = cloud.perf_stats()
         assert second["tlb"] == first["tlb"]
         assert second["memctrl"] == first["memctrl"]
-        # nothing moved, so no contribution was recomputed
-        assert {i: cloud._perf_cache[i][0] for i in range(2)} == probes
 
     def test_only_the_active_host_is_rewalked(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0xF05)
-        cloud.perf_stats()
-        stale_probe = cloud._perf_cache[1][0]
+
+        def idle_counters():
+            stats = cloud.host(1).machine.perf_stats()
+            return stats["tlb"], stats["memctrl"]
+
+        idle_before = idle_counters()
         t = cloud.launch_tenant("t", GuestOwner(seed=5), host_index=0)
         t.ctx.hypercall(hc.HC_SCHED_YIELD)
-        cloud.perf_stats()
-        assert cloud._perf_cache[1][0] == stale_probe
-        assert cloud._perf_cache[0][0] != stale_probe
+        stats = cloud.perf_stats()
+        assert idle_counters() == idle_before
+        self._assert_sums_hosts(stats, cloud)
 
     def test_repeated_updates_stay_integer_exact(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0xF06)
@@ -319,15 +332,37 @@ class TestIncrementalPerfStats:
             t.ctx.hypercall(hc.HC_SCHED_YIELD)
             cloud.perf_stats()                 # interleave reads
         cloud.migrate_tenant("t0")
-        final = cloud.perf_stats()
-        per_host = [h.machine.perf_stats() for h in cloud.hosts]
-        assert final["tlb"]["hits"] == \
-            sum(s["tlb"]["hits"] for s in per_host)
-        assert final["tlb"]["root_index_entries"] == sum(
-            sum(s["tlb"]["root_index_sizes"].values()) for s in per_host)
-        for key in per_host[0]["memctrl"]:
-            assert final["memctrl"][key] == \
-                sum(s["memctrl"][key] for s in per_host)
+        self._assert_sums_hosts(cloud.perf_stats(), cloud)
+
+
+class TestHostIndexValidation:
+    """Host indices outside ``[0, hosts)`` fail closed with ReproError
+    — a negative index must not alias a host from the end of the list,
+    and callers that catch only ReproError (the chaos soak) must not
+    crash on an IndexError."""
+
+    def test_out_of_range_indices_raise_repro_error(self):
+        cloud = Cloud(hosts=2, frames=1024, seed=0x1DE7)
+        for bad in (-1, 2, 5):
+            with pytest.raises(ReproError, match="no host"):
+                cloud.launch_tenant("t", GuestOwner(seed=1),
+                                    host_index=bad)
+            with pytest.raises(ReproError, match="no host"):
+                cloud.evacuate(bad)
+            with pytest.raises(ReproError, match="no host"):
+                cloud.attest_host(bad)
+            with pytest.raises(ReproError, match="no host"):
+                cloud.lift_quarantine(bad)
+        assert cloud.tenants == {}
+        assert cloud.quarantined == set()
+        t = cloud.launch_tenant("t", GuestOwner(seed=1), host_index=1)
+        t.ctx.hypercall(hc.HC_SCHED_YIELD)
+        for bad in (-1, 7):
+            with pytest.raises(ReproError, match="no host"):
+                cloud.migrate_tenant("t", to_host_index=bad)
+        assert t.host_index == 1
+        assert cloud.inventory() == {0: [], 1: ["t"]}
+        assert cloud.event_kinds() == []
 
 
 class TestQuarantineLiftAudit:
