@@ -28,11 +28,14 @@ LAYERS = {
     "core": 4,
     "system": 5,
     "workloads": 5,
+    # The control plane (ControlPlane, the placement policies) and
+    # Cloud, its hook set on real Systems.
     "cloud": 6,
-    # The discrete-event fleet model sits above cloud: its lockstep
-    # differential drives a real Cloud and its hydration escape hatch
-    # materializes real Systems, while eval (fleetbench) and faults
-    # (the fleet soak profile) reach down into it from above.
+    # The discrete-event fleet model sits above cloud because FleetModel
+    # subclasses the cloud layer's ControlPlane (its lockstep
+    # differential also drives a real Cloud, and hydration materializes
+    # real Systems), while eval (fleetbench) and faults (the soak's
+    # EventQueue) reach down into it from above.
     "fleet": 7,
     "eval": 8,
     # The serializer sits beside eval: it sees whole systems and clouds

@@ -30,9 +30,11 @@ from repro.analysis.dataflow.effects import module_mutable_globals
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 
-#: the packages restore must be able to rebuild exactly ("fleet" rides
-#: along so its policy dispatch table is inventoried like the others)
-SCOPED_SUBPACKAGES = frozenset({"hw", "sev", "core", "common", "fleet"})
+#: the packages restore must be able to rebuild exactly ("cloud" and
+#: "fleet" ride along so the control plane's placement-policy table,
+#: and any table the fleet model grows, is inventoried like the others)
+SCOPED_SUBPACKAGES = frozenset({"hw", "sev", "core", "common", "cloud",
+                                "fleet"})
 
 #: where stale-registry findings attach
 REGISTRY_MODULE = "repro.common.state_registry"

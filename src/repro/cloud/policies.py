@@ -1,19 +1,19 @@
 """Pluggable placement policies behind one small protocol.
 
-A policy owns two things: the *sort key* the model's capacity index
-keeps hosts ordered by, and the *choice rule* that turns an ordered
-index into a placement decision.  Keeping the key inside the policy is
-what makes placement O(log n): the :class:`CapacityIndex` is a sorted
-list maintained by ``bisect`` on every launch/shutdown/migrate/failure,
-so a decision is a bisection (bin-packing) or a scan from the head that
-normally terminates immediately (spread), never a full fleet walk.
+A policy owns two things: the *sort key* the control plane's capacity
+index keeps hosts ordered by, and the *choice rule* that turns an
+ordered index into a placement decision.  Keeping the key inside the
+policy is what makes placement O(log n): the :class:`CapacityIndex` is
+a sorted list maintained by ``bisect`` on every
+launch/shutdown/migrate/failure, so a decision is a bisection
+(bin-packing) or a scan from the head that normally terminates
+immediately (spread), never a full fleet walk.
 
 Three built-ins, each deterministic with ties broken by host index:
 
 ``spread``
-    Fewest resident guests first — the fleet-model mirror of
-    :meth:`repro.cloud.Cloud.pick_host`'s least-loaded rule, which is
-    why the lockstep differential runs under it.
+    Fewest resident guests first — the rule :class:`~repro.cloud.Cloud`
+    places by, which is why the lockstep differential runs under it.
 ``bin_packing``
     Tightest fit: the host with the *least* free frames that still
     holds the request.  Never overcommits (the property suite holds it
@@ -23,13 +23,24 @@ Three built-ins, each deterministic with ties broken by host index:
     holding the most guests sharing a tag with the request, fall back
     to spread when no tagged host admits it.
 
+``choose`` proposes a candidate; the plane attests it and asks again
+if the attestation fails (the failed host has left the index by then).
+
 ``POLICIES`` is the dispatch table scenario specs name policies
 through; it is registered as a constant in the state registry.
 """
 
 import bisect
 
-from repro.fleet.events import FleetError
+from repro.common.errors import ReproError
+
+
+class FleetError(ReproError):
+    """A control-plane operation that cannot proceed (no capacity, no
+    admissible host, unknown guest, no such host).  Scenario drivers
+    treat these the way the chaos soak treats a clean ``ReproError``:
+    an accepted, counted outcome — never silent, never fatal to the
+    run."""
 
 
 class CapacityIndex:
@@ -97,14 +108,10 @@ class PlacementPolicy:
         """The capacity-index sort key for ``host``."""
         raise NotImplementedError
 
-    def choose(self, model, frames, tags=(), exclude=frozenset()):
-        """The host index to place ``frames``/``tags`` on, or raise
-        :class:`FleetError` when no admissible host fits."""
+    def choose(self, plane, frames, tags=(), exclude=frozenset()):
+        """The host index to place ``frames``/``tags`` on, or None when
+        no admissible host fits."""
         raise NotImplementedError
-
-    def _refuse(self, frames):
-        raise FleetError("no admissible host has %d free frames"
-                         % frames)
 
 
 class SpreadPolicy(PlacementPolicy):
@@ -116,13 +123,13 @@ class SpreadPolicy(PlacementPolicy):
     def key(self, host):
         return (len(host.guests), host.index)
 
-    def choose(self, model, frames, tags=(), exclude=frozenset()):
-        for _key, index in model.capacity_index.ordered():
+    def choose(self, plane, frames, tags=(), exclude=frozenset()):
+        for _key, index in plane.capacity_index.ordered():
             if index in exclude:
                 continue
-            if model.hosts[index].free_frames >= frames:
+            if plane.host_records[index].free_frames >= frames:
                 return index
-        self._refuse(frames)
+        return None
 
 
 class BinPackingPolicy(PlacementPolicy):
@@ -134,15 +141,14 @@ class BinPackingPolicy(PlacementPolicy):
     def key(self, host):
         return (host.free_frames, host.index)
 
-    def choose(self, model, frames, tags=(), exclude=frozenset()):
-        for _key, index in model.capacity_index.from_key((frames, -1)):
-            if index in exclude:
-                continue
-            return index
-        self._refuse(frames)
+    def choose(self, plane, frames, tags=(), exclude=frozenset()):
+        for _key, index in plane.capacity_index.from_key((frames, -1)):
+            if index not in exclude:
+                return index
+        return None
 
 
-class AffinityPolicy(PlacementPolicy):
+class AffinityPolicy(SpreadPolicy):
     """Co-locate shared tags; spread otherwise.
 
     Preference order among tagged candidates: most co-located
@@ -152,25 +158,17 @@ class AffinityPolicy(PlacementPolicy):
 
     name = "affinity"
 
-    def key(self, host):
-        return (len(host.guests), host.index)
-
-    def choose(self, model, frames, tags=(), exclude=frozenset()):
+    def choose(self, plane, frames, tags=(), exclude=frozenset()):
         ranked = {}              # host index -> shared-tag guest count
         for tag in tags:
-            for index, count in model.tag_hosts.get(tag, {}).items():
+            for index, count in plane.tag_hosts.get(tag, {}).items():
                 ranked[index] = ranked.get(index, 0) + count
         for index in sorted(ranked, key=lambda i: (-ranked[i], i)):
-            if index in exclude or index not in model.capacity_index:
+            if index in exclude or index not in plane.capacity_index:
                 continue
-            if model.hosts[index].free_frames >= frames:
+            if plane.host_records[index].free_frames >= frames:
                 return index
-        for _key, index in model.capacity_index.ordered():
-            if index in exclude:
-                continue
-            if model.hosts[index].free_frames >= frames:
-                return index
-        self._refuse(frames)
+        return super().choose(plane, frames, tags, exclude)
 
 
 #: scenario specs name policies through this table (constant: built at
@@ -184,7 +182,7 @@ POLICIES = {
 
 def make_policy(name):
     """A fresh policy instance for ``name`` (policies are stateless,
-    but per-model instances keep the door open for stateful ones)."""
+    but per-plane instances keep the door open for stateful ones)."""
     try:
         return POLICIES[name]()
     except KeyError:

@@ -19,10 +19,10 @@ classification that says what restore must do about it —
     function that *writes* one is a bug wherever it happens.
 
 FID014 enforces that every module-level mutable binding in
-``repro.hw`` / ``repro.sev`` / ``repro.core`` / ``repro.common``
-appears here (and that no entry goes stale), and
-``fidelint --state-report`` emits the merged inventory as the
-machine-readable seed artifact for the snapshot work.
+``repro.hw`` / ``repro.sev`` / ``repro.core`` / ``repro.common`` (and
+``repro.cloud`` / ``repro.fleet``) appears here (and that no entry goes
+stale), and ``fidelint --state-report`` emits the merged inventory as
+the machine-readable seed artifact for the snapshot work.
 
 This manifest is *data about* the tree, matched purely syntactically —
 nothing here imports the modules it describes.  It lives in
@@ -64,6 +64,9 @@ def _build(entries):
 #: (module, binding, classification, reset callable in that module or
 #:  None, why it is safe) — keep sorted by module then name
 REGISTRY = _build([
+    ("repro.cloud.policies", "POLICIES", "constant", None,
+     "placement-policy dispatch table built at import and only ever "
+     "read (make_policy instantiates per control plane)"),
     ("repro.common.crypto", "_key_invalidations", "counters",
      "clear_keystream_cache",
      "forget_key tally for cache diagnostics; never enters results"),
@@ -98,9 +101,6 @@ REGISTRY = _build([
     ("repro.common.types", "PRIV_OPCODES", "constant", None,
      "privileged-encoding table built at import; FID008 guards the "
      "only writers"),
-    ("repro.fleet.policies", "POLICIES", "constant", None,
-     "placement-policy dispatch table built at import and only ever "
-     "read (make_policy instantiates per model)"),
     ("repro.sev.exit_policy", "EXIT_POLICIES", "constant", None,
      "VMEXIT policy table built at import and only ever read"),
 ])

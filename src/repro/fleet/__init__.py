@@ -1,24 +1,24 @@
 """Datacenter-scale fleet simulation: a discrete-event core (FID003
 layer 7, between ``repro.cloud`` and ``repro.eval``).
 
-The :class:`~repro.cloud.Cloud` layer is *faithful*: every host carries
-a full :class:`~repro.hw.machine.Machine` with DRAM frames, firmware
-and hypervisor state, so a 10k-host fleet is memory-infeasible before
-it is slow.  This package trades that fidelity for scale along one
-explicit axis: hosts and guests become lightweight state records whose
-cycle/DRAM/key-rotation costs are charged from calibrated per-op cost
-tables (:mod:`repro.fleet.costs`, sampled from ``BENCH_simulator.json``)
-instead of by executing the full datapath.  Everything else — placement
-policy, quarantine semantics, migration/evacuation ordering — mirrors
-the real control plane, and two escape hatches keep the model honest:
+:class:`~repro.cloud.Cloud` and :class:`FleetModel` run one control
+plane (:class:`~repro.cloud.plane.ControlPlane`) through two hook sets.
+The cloud's are *faithful*: every host carries a full
+:class:`~repro.hw.machine.Machine` with DRAM frames, firmware and
+hypervisor state, so a 10k-host fleet is memory-infeasible before it is
+slow.  The model's trade that fidelity for scale along one explicit
+axis: hosts and guests are lightweight records, and attest, boot, move
+and destroy charge calibrated per-op costs (:mod:`repro.fleet.costs`,
+sampled from ``BENCH_simulator.json``) instead of executing the full
+datapath.  Two escape hatches keep the model honest:
 
 * **lazy hydration** (:meth:`FleetModel.hydrate`): any single host can
   be materialized into a real :class:`~repro.system.System` with its
   resident guests booted, so invariant spot-checks and attack
   reproductions still run against the faithful simulator;
-* **lockstep differential** (:mod:`repro.fleet.lockstep`): a 3-host
-  fleet-model run is driven event-for-event against a real ``Cloud``,
-  comparing placement decisions, inventories and quarantine outcomes.
+* **lockstep differential** (:mod:`repro.fleet.lockstep`): the same
+  plane methods are called on a 3-host model and a real ``Cloud``,
+  comparing placements, inventories and quarantine outcomes.
 
 Determinism is the same contract as everywhere else in the tree: one
 seed fixes the event order (the :class:`EventQueue`'s tie-break RNG),
@@ -30,15 +30,7 @@ serial run.
 from repro.fleet.costs import CostTable, load_cost_table
 from repro.fleet.events import Event, EventQueue, FleetError
 from repro.fleet.lockstep import LockstepReport, run_lockstep
-from repro.fleet.model import FleetModel, GuestRecord, HostRecord
-from repro.fleet.policies import (
-    POLICIES,
-    AffinityPolicy,
-    BinPackingPolicy,
-    PlacementPolicy,
-    SpreadPolicy,
-    make_policy,
-)
+from repro.fleet.model import FleetModel, GuestRecord
 from repro.fleet.scenarios import (
     RegionReport,
     ScenarioSpec,
@@ -49,24 +41,17 @@ from repro.fleet.scenarios import (
 )
 
 __all__ = [
-    "AffinityPolicy",
-    "BinPackingPolicy",
     "CostTable",
     "Event",
     "EventQueue",
     "FleetError",
     "FleetModel",
     "GuestRecord",
-    "HostRecord",
     "LockstepReport",
-    "POLICIES",
-    "PlacementPolicy",
     "RegionReport",
     "ScenarioSpec",
-    "SpreadPolicy",
     "drive_region",
     "load_cost_table",
-    "make_policy",
     "region_specs",
     "run_fleet",
     "run_lockstep",

@@ -27,17 +27,10 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from repro.common.errors import ReproError
+from repro.cloud.policies import FleetError
 
 #: tie-break entropy width; 32 bits keeps tuples small and hashable
 _TIE_BITS = 32
-
-
-class FleetError(ReproError):
-    """A fleet-model operation that cannot proceed (no capacity, no
-    admissible host, unknown guest).  Scenario drivers treat these the
-    way the chaos soak treats a clean ``ReproError``: an accepted,
-    counted outcome — never silent, never fatal to the run."""
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,21 @@
-"""The lockstep differential: fleet model vs real Cloud, move by move.
+"""The lockstep differential: one plane, two hook sets, step by step.
 
-The fleet model earns the right to stand in for the faithful stack by
-agreeing with it.  This module drives a small real
-:class:`~repro.cloud.Cloud` (every host a full Fidelius
-:class:`~repro.system.System`) and a :class:`~repro.fleet.model.FleetModel`
-under the ``spread`` policy through the *same* scripted campaign —
-launches, policy-chosen migrations, a tampered host that must fall to
-attestation, post-quarantine placements, shutdowns — and compares every
-placement decision and every resulting inventory event-for-event.
+:class:`~repro.cloud.Cloud` and :class:`~repro.fleet.model.FleetModel`
+run the same :class:`~repro.cloud.plane.ControlPlane`; they differ only
+in their attest, boot, move and destroy hooks.  This module drives a
+small real ``Cloud`` (every host a full Fidelius
+:class:`~repro.system.System`) and a ``FleetModel`` under the
+``spread`` policy through the *same* scripted campaign — launches,
+policy-chosen migrations, a tampered host, post-quarantine placements,
+shutdowns — calling the same plane method on both sides at every step.
+It compares what the hooks can make differ: the host each call lands
+on (or its refusal), the inventories and the quarantine sets.  Any
+divergence is a recorded mismatch, and CI fails on a non-empty list.
 
-``spread`` is the policy under test because it is definitionally the
-model-side mirror of :meth:`Cloud.pick_host`: fewest resident tenants
-wins, ties to the lowest host index.  Any divergence — a different
-placement, a different quarantine set, a different inventory — is a
-recorded mismatch, and CI fails on a non-empty list.
-
-The cloud side quarantines *through the real mechanism*: the script
-tampers a host's hypervisor text and lets remote attestation catch it
-on the next placement, while the model side declares the same host
-quarantined.  That asymmetry is the point — the model asserts what the
-faithful stack must independently discover.
+The one asymmetry is the point: the script tampers a host's hypervisor
+text on the cloud side and lets remote attestation catch it on the
+next placement, while the model is told (``quarantine_host``).  The
+model asserts what the faithful stack must independently discover.
 """
 
 import random
@@ -27,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.cloud import Cloud
 from repro.common.errors import ReproError
-from repro.fleet.events import FleetError
 from repro.fleet.model import FleetModel
 from repro.system import GuestOwner
 
@@ -94,37 +89,23 @@ class _Differential:
             self._mismatch("quarantine set after %s" % when, cloud_q,
                            model_q)
 
-    def launch(self, name, owner):
-        tenant = self.cloud.launch_tenant(
-            name, owner, payload=b"LOCKSTEP|" + name.encode(),
-            guest_frames=GUEST_FRAMES)
-        guest = self.model.launch(name, GUEST_FRAMES)
-        self.report.launches += 1
-        if tenant.host_index != guest.host:
-            self._mismatch("placement of %s" % name, tenant.host_index,
-                           guest.host)
-        self.check_inventories("launch %s" % name)
-
-    def migrate(self, name):
-        try:
-            cloud_host = self.cloud.migrate_tenant(name).host_index
-        except ReproError as exc:
-            cloud_host = "refused: %s" % exc
-        try:
-            model_host = self.model.migrate(name).host
-        except FleetError as exc:
-            model_host = "refused: %s" % exc
-        self.report.migrations += 1
-        if cloud_host != model_host:
-            self._mismatch("migration of %s" % name, cloud_host,
-                           model_host)
-        self.check_inventories("migrate %s" % name)
-
-    def shutdown(self, name):
-        self.cloud.shutdown_tenant(name)
-        self.model.shutdown(name)
-        self.report.shutdowns += 1
-        self.check_inventories("shutdown %s" % name)
+    def step(self, method, name, **boot):
+        """Call plane ``method`` for guest ``name`` on both sides and
+        compare where the guest ends up; ``boot`` (the tenant's owner
+        and payload) goes to the cloud's boot hook only."""
+        args = (name, GUEST_FRAMES) if method == "launch" else (name,)
+        outcomes = []
+        for plane, extra in ((self.cloud, boot), (self.model, {})):
+            try:
+                outcomes.append(getattr(plane, method)(*args, **extra).host)
+            except ReproError as exc:
+                outcomes.append("refused: %s" % exc)
+        counter = {"launch": "launches", "migrate": "migrations",
+                   "shutdown": "shutdowns"}[method]
+        setattr(self.report, counter, getattr(self.report, counter) + 1)
+        if outcomes[0] != outcomes[1]:
+            self._mismatch("%s of %s" % (method, name), *outcomes)
+        self.check_inventories("%s %s" % (method, name))
 
     def tamper(self, index):
         """Corrupt host ``index``'s hypervisor text on the cloud side;
@@ -150,13 +131,15 @@ def run_lockstep(seed=0xC10D, hosts=3, tenants=6, churn=6, frames=4096):
     diff = _Differential(seed, hosts, frames)
     rng = random.Random(seed ^ 0xD1FF)
     names = ["ls-t%03d" % i for i in range(tenants)]
-    owners = {name: GuestOwner(seed=seed + 7 * i)
-              for i, name in enumerate(names)}
 
-    for name in names:
-        diff.launch(name, owners[name])
+    def launch(name, owner_seed):
+        diff.step("launch", name, owner=GuestOwner(seed=owner_seed),
+                  payload=b"LOCKSTEP|" + name.encode())
+
+    for i, name in enumerate(names):
+        launch(name, seed + 7 * i)
     for _ in range(churn):
-        diff.migrate(rng.choice(names))
+        diff.step("migrate", rng.choice(names))
 
     # Tamper the host at the *head* of the placement order (fewest
     # guests, ties to the lowest index).  Lazy attestation only probes
@@ -169,18 +152,17 @@ def run_lockstep(seed=0xC10D, hosts=3, tenants=6, churn=6, frames=4096):
     # Next placements must route around the tampered host on both sides
     # (this is where the cloud actually quarantines it).
     extra = "ls-extra"
-    diff.launch(extra, GuestOwner(seed=seed + 999))
+    launch(extra, seed + 999)
     names.append(extra)
-    owners[extra] = None
 
     victim = rng.choice(sorted(n for n in names
                                if diff.model.guests[n].host != tampered))
-    diff.shutdown(victim)
+    diff.step("shutdown", victim)
     names.remove(victim)
     survivors = [n for n in names
                  if diff.model.guests[n].host != tampered]
     for _ in range(max(2, churn // 2)):
-        diff.migrate(rng.choice(survivors))
+        diff.step("migrate", rng.choice(survivors))
 
     diff.report.inventory = diff.model.inventory()
     return diff.report

@@ -1,14 +1,13 @@
-"""The fleet model: lightweight host/guest records over the event core.
+"""The fleet model: the control plane over charged host/guest records.
 
-A :class:`FleetModel` is the scale-regime twin of
-:class:`~repro.cloud.Cloud`: the same control-plane semantics
-(least-loaded/packed/affine placement, quarantine-as-inadmissibility,
-retrying migration, drain-style evacuation, per-guest key rotation),
-but hosts and guests are plain dataclass records — no DRAM frames, no
-firmware, no hypervisor — and every operation *charges* its calibrated
-cost (:mod:`repro.fleet.costs`) to the virtual clock instead of
-executing the faithful datapath.  10k hosts and 50k guests fit in tens
-of megabytes; ``BENCH_fleet.json`` holds the trajectory.
+A :class:`FleetModel` runs the :class:`~repro.cloud.plane.ControlPlane`
+that :class:`~repro.cloud.Cloud` runs, but its attest, boot, move and
+destroy hooks touch no DRAM frames, firmware or hypervisor: each
+*charges* its calibrated cost (:mod:`repro.fleet.costs`) to the virtual
+clock.  What only the model has lives here: host failure (restart or
+LOST), recovery, retirement, rolling key rotation, scale-up, event
+dispatch, the state digest and hydration.  10k hosts and 50k guests fit
+in tens of megabytes; ``BENCH_fleet.json`` holds the trajectory.
 
 Honesty mechanisms:
 
@@ -17,9 +16,8 @@ Honesty mechanisms:
   guest booted from an owner-encrypted image — so invariant audits and
   attack reproductions can spot-check the model against the faithful
   simulator at any point in a scenario;
-* the 3-host lockstep differential (:mod:`repro.fleet.lockstep`)
-  drives this model and a real ``Cloud`` through the same script and
-  compares every placement decision.
+* the 3-host lockstep differential (:mod:`repro.fleet.lockstep`) calls
+  the same plane methods on this model and a real ``Cloud``.
 
 Determinism: one seed fixes the event queue's tie-breaks and the
 model RNG; all iteration is over insertion-ordered dicts or sorted
@@ -30,38 +28,20 @@ processes, which is what lets fleet regions shard through
 
 import random
 import zlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.cloud import ControlPlane, FleetError
+from repro.cloud.plane import FAILED, QUARANTINED, RETIRED, UP
 from repro.fleet.costs import CostTable
-from repro.fleet.events import Event, EventQueue, FleetError
-from repro.fleet.policies import CapacityIndex, make_policy
+from repro.fleet.events import EventQueue
 from repro.runner.merge import digest
 from repro.system import GuestOwner, System
 
-#: host lifecycle states
-UP, FAILED, QUARANTINED, RETIRED = "UP", "FAILED", "QUARANTINED", "RETIRED"
+__all__ = ["FAILED", "QUARANTINED", "RETIRED", "UP", "FleetModel",
+           "GuestRecord"]
 
-#: default bound on the in-model operator event log
-DEFAULT_LOG_LIMIT = 1024
-
-
-@dataclass
-class HostRecord:
-    """One host as bookkeeping: capacity, state, key epoch."""
-
-    index: int
-    frames: int
-    free_frames: int
-    state: str = UP
-    key_epoch: int = 0
-    seed: int = 0
-    #: insertion-ordered guest name -> frames (order drives evacuation)
-    guests: dict = field(default_factory=dict)
-
-    @property
-    def admissible(self):
-        return self.state == UP
+#: bound on the in-model operator event log
+EVENT_LOG_LIMIT = 1024
 
 
 @dataclass
@@ -78,24 +58,18 @@ class GuestRecord:
     restarts: int = 0
 
 
-class FleetModel:
+class FleetModel(ControlPlane):
     """A seeded, deterministic fleet of host/guest records."""
 
     def __init__(self, hosts, host_frames=256, seed=0, policy="spread",
-                 costs=None, log_limit=DEFAULT_LOG_LIMIT):
-        if hosts < 1:
-            raise FleetError("a fleet needs at least one host")
+                 costs=None):
+        super().__init__(host_frames,
+                         [(seed << 8) + index for index in range(hosts)],
+                         policy, EVENT_LOG_LIMIT)
         self.costs = costs if costs is not None else CostTable()
-        self.policy = make_policy(policy)
         self.queue = EventQueue(seed)
         self.rng = random.Random((seed << 4) ^ 0xF1EE7)
         self.seed = seed
-        self.hosts = []
-        self.guests = {}
-        self.capacity_index = CapacityIndex()
-        self.tag_hosts = {}      # tag -> {host index -> guest count}
-        self.quarantined = set()
-        self.log = deque(maxlen=log_limit)
         self.metrics = {
             "attests": 0, "busy_ns": 0, "evacuated": 0, "failures": 0,
             "launches": 0, "lost_guests": 0, "migrations": 0,
@@ -104,232 +78,109 @@ class FleetModel:
             "scale_ups": 0, "shutdowns": 0,
         }
         self._hydrated = {}
-        for _ in range(hosts):
-            self.add_host(host_frames)
 
-    # -- bookkeeping helpers ---------------------------------------------------
-
-    def __len__(self):
-        return len(self.hosts)
-
-    def _record(self, kind, **details):
-        self.log.append((self.queue.now, kind,
-                         tuple(sorted(details.items()))))
+    @property
+    def hosts(self):
+        """The host records (a model host *is* its record)."""
+        return self.host_records
 
     def _charge(self, ns, _reason):
         self.metrics["busy_ns"] += ns
 
-    def _reindex(self, host):
-        if host.admissible:
-            self.capacity_index.update(host.index, self.policy.key(host))
+    # -- hooks: calibrated charges ---------------------------------------------
 
-    def _deindex(self, host):
-        self.capacity_index.remove(host.index)
-
-    def _tag_shift(self, guest, host_index, delta):
-        for tag in guest.tags:
-            counts = self.tag_hosts.setdefault(tag, {})
-            counts[host_index] = counts.get(host_index, 0) + delta
-            if counts[host_index] <= 0:
-                del counts[host_index]
-            if not counts:
-                del self.tag_hosts[tag]
-
-    def _place_on(self, guest, host):
-        if host.free_frames < guest.frames:
-            raise FleetError(
-                "host %d cannot hold %d frames (%d free)"
-                % (host.index, guest.frames, host.free_frames))
-        host.free_frames -= guest.frames
-        host.guests[guest.name] = guest.frames
-        guest.host = host.index
-        guest.key_epoch = host.key_epoch
-        self._tag_shift(guest, host.index, +1)
-        self._reindex(host)
-
-    def _remove_from(self, guest, host):
-        host.free_frames += guest.frames
-        del host.guests[guest.name]
-        self._tag_shift(guest, host.index, -1)
-        self._reindex(host)
-
-    def _choose(self, frames, tags=(), exclude=frozenset()):
-        index = self.policy.choose(self, frames, tags, exclude)
+    def _attest(self, index):
         self.metrics["attests"] += 1
         self._charge(self.costs.attest_ns, "attest")
-        return index
+        return None
+
+    def _boot(self, name, index, frames, tags):
+        self.metrics["launches"] += 1
+        self._charge(self.costs.boot_ns(frames), "boot")
+        return GuestRecord(name=name, host=index, frames=frames,
+                           tags=tuple(tags),
+                           key_epoch=self.host_records[index].key_epoch)
+
+    def _move(self, guest, index):
+        guest.key_epoch = self.host_records[index].key_epoch
+        guest.migrations += 1
+        self.metrics["migrations"] += 1
+        self._charge(self.costs.migrate_ns(guest.frames), "migrate")
+
+    def _destroy(self, guest):
+        self.metrics["shutdowns"] += 1
+        self._charge(self.costs.shutdown_ns(guest.frames), "shutdown")
 
     # -- host lifecycle --------------------------------------------------------
-
-    def add_host(self, frames):
-        host = HostRecord(index=len(self.hosts), frames=frames,
-                          free_frames=frames,
-                          seed=(self.seed << 8) + len(self.hosts))
-        self.hosts.append(host)
-        self.capacity_index.add(host.index, self.policy.key(host))
-        return host
-
-    def quarantine_host(self, index):
-        """Fail closed, exactly like ``Cloud``: a quarantined host takes
-        no placements or migration targets until an operator lifts it."""
-        host = self.hosts[index]
-        if host.state != UP:
-            return
-        host.state = QUARANTINED
-        self.quarantined.add(index)
-        self._deindex(host)
-        self._record("host-quarantined", host=index)
-
-    def lift_quarantine(self, index):
-        host = self.hosts[index]
-        if host.state != QUARANTINED:
-            return
-        host.state = UP
-        self.quarantined.discard(index)
-        self.capacity_index.add(index, self.policy.key(host))
-        self._record("quarantine-lifted", host=index)
 
     def fail_host(self, index):
         """Abrupt host death: its guests are restarted elsewhere by the
         control plane (charged as fresh boots), or LOST when the
         remaining fleet has no room — the population-level outcome a
         correlated failure wave is run to measure."""
-        host = self.hosts[index]
+        self._check_index(index)
+        host = self.host_records[index]
         if host.state in (FAILED, RETIRED):
             return
-        if host.state == UP:
-            self._deindex(host)
-        self.quarantined.discard(index)
-        host.state = FAILED
+        self._set_state(host, FAILED)
         self.metrics["failures"] += 1
         self._record("host-failed", host=index, guests=len(host.guests))
         for name in list(host.guests):
             guest = self.guests[name]
-            self._remove_from(guest, host)
+            self._unplace(guest, host)
             try:
-                target = self._choose(guest.frames, guest.tags,
-                                      exclude={index})
+                target = self.pick_host(guest.frames, guest.tags, {index})
             except FleetError:
                 guest.state = "LOST"
                 guest.host = -1
                 self.metrics["lost_guests"] += 1
                 self._record("guest-lost", guest=name)
                 continue
-            self._place_on(guest, self.hosts[target])
+            guest.key_epoch = self.host_records[target].key_epoch
+            self._place(guest, self.host_records[target])
             guest.restarts += 1
             self.metrics["restarts"] += 1
             self._charge(self.costs.boot_ns(guest.frames), "restart")
         host.free_frames = host.frames
 
     def recover_host(self, index):
-        host = self.hosts[index]
+        self._check_index(index)
+        host = self.host_records[index]
         if host.state != FAILED:
             return
-        host.state = UP
         host.key_epoch += 1     # a rebuilt host comes up with fresh keys
+        self._set_state(host, UP)
         self.metrics["recoveries"] += 1
-        self.capacity_index.add(index, self.policy.key(host))
         self._record("host-recovered", host=index)
+
+    def _drain(self, index):
+        """:meth:`evacuate`, counting every guest it moves off even if
+        the drain stalls part-way."""
+        self._check_index(index)
+        host = self.host_records[index]
+        residents = len(host.guests)
+        try:
+            self.evacuate(index)
+        finally:
+            self.metrics["evacuated"] += residents - len(host.guests)
 
     def retire_host(self, index):
         """Scale-down: drain the host, then take it out of service."""
-        host = self.hosts[index]
+        self._check_index(index)
+        host = self.host_records[index]
         if host.state == RETIRED:
             return
-        self.evacuate(index)
-        if host.guests:
-            raise FleetError("host %d still holds %d guests after drain"
-                             % (index, len(host.guests)))
-        if host.state == UP:
-            self._deindex(host)
-        self.quarantined.discard(index)
-        host.state = RETIRED
+        self._drain(index)
+        self._set_state(host, RETIRED)
         self.metrics["retired"] += 1
         self._record("host-retired", host=index)
-
-    # -- guest lifecycle -------------------------------------------------------
-
-    def launch(self, name, frames, tags=()):
-        if name in self.guests:
-            raise FleetError("guest %r already exists" % name)
-        guest = GuestRecord(name=name, host=-1, frames=frames,
-                            tags=tuple(tags))
-        target = self._choose(frames, guest.tags)
-        self._place_on(guest, self.hosts[target])
-        self.guests[name] = guest
-        self.metrics["launches"] += 1
-        self._charge(self.costs.boot_ns(frames), "boot")
-        return guest
-
-    def shutdown(self, name):
-        guest = self._running(name)
-        self._remove_from(guest, self.hosts[guest.host])
-        del self.guests[name]
-        self.metrics["shutdowns"] += 1
-        self._charge(self.costs.shutdown_ns(guest.frames), "shutdown")
-        return guest
-
-    def migrate(self, name, target=None, exclude=()):
-        """Move one guest; with ``target=None`` the policy chooses,
-        excluding the current host (and ``exclude``)."""
-        guest = self._running(name)
-        source = self.hosts[guest.host]
-        if target is None:
-            target = self._choose(guest.frames, guest.tags,
-                                  exclude=set(exclude) | {guest.host})
-        elif target == guest.host:
-            return guest
-        destination = self.hosts[target]
-        if not destination.admissible:
-            raise FleetError("host %d is not admissible" % target)
-        if destination.free_frames < guest.frames:
-            raise FleetError(
-                "host %d cannot hold %d frames (%d free)"
-                % (target, guest.frames, destination.free_frames))
-        self._remove_from(guest, source)
-        self._place_on(guest, destination)
-        guest.migrations += 1
-        self.metrics["migrations"] += 1
-        self._charge(self.costs.migrate_ns(guest.frames), "migrate")
-        return guest
-
-    def evacuate(self, index, retries=2):
-        """Drain every guest off one host, mirroring
-        :meth:`Cloud.evacuate`'s per-guest bounded retry; guests whose
-        retries exhaust stay put and the drain raises."""
-        host = self.hosts[index]
-        moved = []
-        for name in list(host.guests):
-            guest = self.guests[name]
-            excluded = {index}
-            last_error = None
-            for _ in range(1 + retries):
-                try:
-                    target = self._choose(guest.frames, guest.tags,
-                                          exclude=excluded)
-                except FleetError as exc:
-                    last_error = exc
-                    break
-                try:
-                    self.migrate(name, target=target)
-                    moved.append(name)
-                    self.metrics["evacuated"] += 1
-                    last_error = None
-                    break
-                except FleetError as exc:
-                    excluded.add(target)
-                    last_error = exc
-            if guest.host == index:
-                self._record("evacuation-stalled", guest=name, host=index)
-                raise last_error if last_error is not None else \
-                    FleetError("nowhere to evacuate %r to" % name)
-        return moved
 
     def rotate_host_keys(self, index):
         """Rolling fleet key rotation, one host at a time: new host
         epoch, every resident guest re-encrypted under it
         (Section 4.3.6 at population scale)."""
-        host = self.hosts[index]
+        self._check_index(index)
+        host = self.host_records[index]
         if host.state == RETIRED:
             return 0
         host.key_epoch += 1
@@ -340,14 +191,6 @@ class FleetModel:
             self._charge(self.costs.rotate_ns(frames), "rotate")
         self._record("host-rotated", host=index, guests=len(host.guests))
         return len(host.guests)
-
-    def _running(self, name):
-        guest = self.guests.get(name)
-        if guest is None:
-            raise FleetError("no guest %r" % name)
-        if guest.state != "RUNNING":
-            raise FleetError("guest %r is %s" % (name, guest.state))
-        return guest
 
     # -- event dispatch --------------------------------------------------------
 
@@ -416,21 +259,16 @@ class FleetModel:
 
     def _on_scale_up(self, event):
         for _ in range(event.get("hosts", 1)):
-            self.add_host(event.get("frames"))
+            self.add_host(event.get("frames"), (self.seed << 8) + len(self))
             self.metrics["scale_ups"] += 1
 
     def _on_scale_down(self, event):
         self.retire_host(event.get("host"))
 
     def _on_evacuate(self, event):
-        self.evacuate(event.get("host"))
+        self._drain(event.get("host"))
 
     # -- inspection ------------------------------------------------------------
-
-    def inventory(self):
-        """{host index: sorted resident guest names} over live hosts."""
-        return {host.index: sorted(host.guests)
-                for host in self.hosts if host.state != RETIRED}
 
     def snapshot_state(self):
         """The canonical-digest input: every modelled fact, no
@@ -446,7 +284,7 @@ class FleetModel:
             "hosts": [
                 (h.index, h.frames, h.free_frames, h.state, h.key_epoch,
                  tuple(h.guests))
-                for h in self.hosts
+                for h in self.host_records
             ],
             "metrics": dict(self.metrics),
             "policy": self.policy.name,
@@ -472,7 +310,8 @@ class FleetModel:
         therefore never part of the model's digest or its checkpoints
         (see ``__getstate__``).
         """
-        host = self.hosts[index]
+        self._check_index(index)
+        host = self.host_records[index]
         if host.state == RETIRED:
             raise FleetError("host %d is retired" % index)
         if index in self._hydrated:

@@ -98,7 +98,7 @@ class TestQuarantine:
 
     def test_launch_refuses_a_quarantined_host(self):
         cloud = _cloud()
-        cloud.quarantined.add(1)
+        cloud.quarantine_host(1)
         with pytest.raises(ReproError, match="fails attestation"):
             _launch(cloud, "t", host_index=1)
         assert "t" not in cloud.tenants

@@ -26,6 +26,10 @@ from repro.faults.soak import (
 PARAMS = {"hosts": 2, "tenants": 2, "frames": 512, "nfaults": 3,
           "profile": "fleet", "migrations": 4}
 
+#: ``python -m repro.faults.soak --seeds 8 --fleet-profile`` digest
+FLEET_DIGEST = ("205763a1085504c2315ad2b2667a849e"
+                "048e5424baa33354dc6037645859501d")
+
 
 class TestDeterminism:
     def test_same_seed_is_byte_identical(self):
@@ -96,3 +100,11 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="parameters"):
             run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
                          every_events=1, **other)
+
+
+@pytest.mark.soak
+class TestPinnedSweep:
+    def test_eight_seed_fleet_sweep_digest_is_pinned(self):
+        results = soak_report(seeds=range(8), profile="fleet",
+                              migrations=6).values()
+        assert results_digest(results) == FLEET_DIGEST

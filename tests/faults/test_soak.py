@@ -7,7 +7,17 @@ CI job: ``pytest -m soak``.
 
 import pytest
 
-from repro.faults.soak import DEFAULT_SEEDS, run_scenario, soak
+from repro.faults.soak import (
+    DEFAULT_SEEDS,
+    results_digest,
+    run_scenario,
+    soak,
+)
+
+#: ``python -m repro.faults.soak --seeds 20`` digest: any change to a
+#: fault schedule, an op outcome or a failure message moves it
+CLASSIC_DIGEST = ("c80074a99f8b250ebda60e541ee83828"
+                  "b2c9e4a2db008fef1f7485fcf6d4de49")
 
 
 def _assert_clean(result):
@@ -67,3 +77,6 @@ class TestFullSweep:
         first = [r.schedule for r in soak(seeds=DEFAULT_SEEDS)]
         second = [r.schedule for r in soak(seeds=DEFAULT_SEEDS)]
         assert first == second
+
+    def test_sweep_digest_is_pinned(self):
+        assert results_digest(soak(seeds=DEFAULT_SEEDS)) == CLASSIC_DIGEST

@@ -2,7 +2,8 @@
 
 ``run_lockstep`` is the fleet model's honesty mechanism: a real
 3-host :class:`~repro.cloud.Cloud` and a :class:`FleetModel` driven
-through the same campaign, every placement compared.  The first test is
+through the same campaign, the same plane method called on both at
+every step and every placement compared.  The first test is
 the acceptance criterion CI enforces.  The second proves the comparator
 has teeth: a deliberately desynchronized pair must produce mismatches,
 so an eternally-green differential cannot be vacuous.
@@ -38,17 +39,17 @@ class TestAgreement:
 class TestComparatorHasTeeth:
     def test_desynchronized_pair_is_caught(self):
         diff = _Differential(seed=0x7E57, hosts=2, frames=4096)
-        diff.launch("t0", GuestOwner(seed=1))
+        diff.step("launch", "t0", owner=GuestOwner(seed=1))
         # desync: the model gains a guest the cloud never launched
         diff.model.launch("ghost", GUEST_FRAMES)
-        diff.launch("t1", GuestOwner(seed=2))
+        diff.step("launch", "t1", owner=GuestOwner(seed=2))
         assert not diff.report.ok
         assert any("inventory" in m or "placement" in m
                    for m in diff.report.mismatches)
 
     def test_quarantine_divergence_is_caught(self):
         diff = _Differential(seed=0x7E58, hosts=2, frames=4096)
-        diff.launch("t0", GuestOwner(seed=1))
+        diff.step("launch", "t0", owner=GuestOwner(seed=1))
         diff.model.quarantine_host(1)    # model-only quarantine
         diff.check_inventories("desync")
         assert any("quarantine set" in m for m in diff.report.mismatches)

@@ -101,17 +101,6 @@ class TestGuestLifecycle:
 
 
 class TestHostLifecycle:
-    def test_quarantine_excludes_from_placement(self):
-        model = _model(hosts=2)
-        model.quarantine_host(0)
-        assert model.hosts[0].state == QUARANTINED
-        assert 0 not in model.capacity_index
-        guest = model.launch("g", frames=4)
-        assert guest.host == 1
-        model.lift_quarantine(0)
-        assert model.hosts[0].state == UP
-        assert model.launch("g2", frames=4).host == 0
-
     def test_failed_host_restarts_guests_elsewhere(self):
         model = _model(hosts=2)
         model.launch("a", frames=4)            # host 0
@@ -171,15 +160,45 @@ class TestHostLifecycle:
         assert model.launch("b", frames=8).host == 1
 
 
+class TestHostIndexValidation:
+    """Every host-index entry point goes through the plane's check: an
+    index outside ``[0, hosts)`` is a FleetError (a counted rejection
+    under ``dispatch``), never an alias of a host from the end of the
+    list and never an IndexError that crashes the run."""
+
+    def test_bad_indices_leave_no_phantom_state(self):
+        model = _model(hosts=3)
+        for call in (model.quarantine_host, model.lift_quarantine,
+                     model.fail_host, model.recover_host,
+                     model.retire_host, model.rotate_host_keys,
+                     model.hydrate):
+            with pytest.raises(FleetError, match="no host -1"):
+                call(-1)
+        assert model.snapshot_state()["quarantined"] == []
+        homes = [model.launch("g%d" % i, frames=4).host for i in range(4)]
+        assert homes == [0, 1, 2, 0]
+        with pytest.raises(FleetError, match="no host 99"):
+            model.migrate("g0", target=99)
+        assert model.guests["g0"].host == 0
+
+    def test_dispatch_counts_a_bad_index_as_a_rejection(self):
+        model = _model(hosts=3)
+        for kind in ("host-fail", "host-recover", "rotate-host",
+                     "scale-down", "evacuate"):
+            model.dispatch(Event.of(kind, host=99))
+        assert model.metrics["rejected"] == 5
+        assert [host.state for host in model.hosts] == [UP] * 3
+
+
 class TestEventDispatch:
     def test_rejection_is_counted_and_logged_not_raised(self):
         model = _model(hosts=1, host_frames=8)
         model.launch("a", frames=8)
         model.dispatch(Event.of("launch", name="b", frames=4))
         assert model.metrics["rejected"] == 1
-        when, kind, details = model.log[-1]
+        kind, details = model.events[-1]
         assert kind == "rejected"
-        assert dict(details)["event"] == "launch"
+        assert details["event"] == "launch"
 
     def test_unknown_kind_is_a_real_error(self):
         with pytest.raises(FleetError):

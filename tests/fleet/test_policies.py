@@ -20,9 +20,8 @@ the O(log n) structure can never drift from the O(n) truth.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.events import FleetError
+from repro.cloud.policies import CapacityIndex, FleetError, make_policy
 from repro.fleet.model import FleetModel
-from repro.fleet.policies import CapacityIndex, make_policy
 
 #: (kind, value) op streams: launches with a size draw, shutdowns and
 #: migrations picking among live guests by index

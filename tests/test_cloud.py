@@ -229,14 +229,6 @@ class TestLoadIndex:
         with pytest.raises(ReproError):
             cloud.pick_host(exclude={0, 1})
 
-    def test_lift_restores_the_index_entry(self):
-        cloud = Cloud(hosts=2, frames=2048, seed=0x1DE2)
-        cloud.quarantined.add(1)
-        with pytest.raises(ReproError):
-            cloud.pick_host(exclude={0})
-        assert cloud.lift_quarantine(1)
-        assert cloud.pick_host(exclude={0}) == 1
-
     def test_load_moves_while_quarantined(self):
         # a quarantined host's tenant count still moves (shutdowns of
         # residents), and the host re-enters placement with that count
@@ -245,19 +237,11 @@ class TestLoadIndex:
             t = cloud.launch_tenant(name, GuestOwner(seed=9 + index),
                                     host_index=index)
             t.ctx.hypercall(hc.HC_SCHED_YIELD)
-        cloud.quarantined.add(1)
+        cloud.quarantine_host(1)
         cloud.shutdown_tenant("t")
         assert cloud.lift_quarantine(1)
         assert cloud.pick_host() == 1          # 0 tenants beats 1
         self._assert_picks_head(cloud)
-
-    def test_pick_host_is_least_loaded_lowest_index(self):
-        cloud = Cloud(hosts=3, frames=2048, seed=0x1DE4)
-        assert cloud.pick_host() == 0
-        t = cloud.launch_tenant("t", GuestOwner(seed=1))
-        t.ctx.hypercall(hc.HC_SCHED_YIELD)
-        assert cloud.pick_host() == 1          # 0 now carries a tenant
-        assert cloud.pick_host(exclude={1}) == 2
 
     def test_pick_host_skips_hosts_that_fail_attestation(self):
         cloud = Cloud(hosts=3, frames=2048, seed=0x1DE5)
@@ -267,18 +251,6 @@ class TestLoadIndex:
         assert cloud.pick_host() == 1
         assert 0 in cloud.quarantined          # discovered and removed
         assert cloud.event_kinds() == ["host-quarantined"]
-
-    def test_evacuate_uses_the_index(self):
-        cloud = Cloud(hosts=3, frames=2048, seed=0x1DE6)
-        for i in range(2):
-            t = cloud.launch_tenant("t%d" % i, GuestOwner(seed=30 + i),
-                                    host_index=0)
-            t.ctx.hypercall(hc.HC_SCHED_YIELD)
-        moved = cloud.evacuate(0)
-        assert sorted(moved) == ["t0", "t1"]
-        # spread, not pile-up: the drain re-picks per tenant
-        assert cloud.inventory() == {0: [], 1: ["t0"], 2: ["t1"]}
-
 
 class TestIncrementalPerfStats:
     """``perf_stats`` re-sums every host on each call: it must equal
@@ -335,33 +307,18 @@ class TestIncrementalPerfStats:
         self._assert_sums_hosts(cloud.perf_stats(), cloud)
 
 
-class TestHostIndexValidation:
-    """Host indices outside ``[0, hosts)`` fail closed with ReproError
-    — a negative index must not alias a host from the end of the list,
-    and callers that catch only ReproError (the chaos soak) must not
-    crash on an IndexError."""
+class TestUnknownTenant:
+    """An unknown tenant name fails closed with ReproError (the plane's
+    one guest lookup), never a bare KeyError: the chaos soak's
+    ``_attempt`` catches only ReproError."""
 
-    def test_out_of_range_indices_raise_repro_error(self):
-        cloud = Cloud(hosts=2, frames=1024, seed=0x1DE7)
-        for bad in (-1, 2, 5):
-            with pytest.raises(ReproError, match="no host"):
-                cloud.launch_tenant("t", GuestOwner(seed=1),
-                                    host_index=bad)
-            with pytest.raises(ReproError, match="no host"):
-                cloud.evacuate(bad)
-            with pytest.raises(ReproError, match="no host"):
-                cloud.attest_host(bad)
-            with pytest.raises(ReproError, match="no host"):
-                cloud.lift_quarantine(bad)
-        assert cloud.tenants == {}
-        assert cloud.quarantined == set()
-        t = cloud.launch_tenant("t", GuestOwner(seed=1), host_index=1)
-        t.ctx.hypercall(hc.HC_SCHED_YIELD)
-        for bad in (-1, 7):
-            with pytest.raises(ReproError, match="no host"):
-                cloud.migrate_tenant("t", to_host_index=bad)
-        assert t.host_index == 1
-        assert cloud.inventory() == {0: [], 1: ["t"]}
+    def test_unknown_tenant_raises_repro_error(self):
+        cloud = Cloud(hosts=2, frames=1024, seed=0x60A5)
+        for operation in (lambda: cloud.migrate_tenant("ghost"),
+                          lambda: cloud.migrate_tenant("ghost", 1),
+                          lambda: cloud.shutdown_tenant("ghost")):
+            with pytest.raises(ReproError, match="no guest 'ghost'"):
+                operation()
         assert cloud.event_kinds() == []
 
 
@@ -381,7 +338,7 @@ class TestQuarantineLiftAudit:
 
     def test_successful_lift_still_recorded(self):
         cloud = Cloud(hosts=1, frames=1024, seed=0xBAD3)
-        cloud.quarantined.add(0)
+        cloud.quarantine_host(0)
         assert cloud.lift_quarantine(0)
         assert cloud.event_kinds()[-1] == "quarantine-lifted"
         assert not cloud.quarantined
