@@ -113,7 +113,7 @@ def main(argv=None):
     try:
         result = analyze(root, baseline_path=None if args.write_baseline
                          else baseline_path, select=select,
-                         jobs=args.jobs, reuse_workers=not args.fresh_workers)
+                         jobs=args.jobs)
     except ValueError as exc:
         print("fidelint: %s" % exc, file=sys.stderr)
         return 2

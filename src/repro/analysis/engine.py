@@ -153,20 +153,19 @@ def _chunk(names, jobs):
     return out
 
 
-def _parallel_raw(root, module_names, select, jobs, reuse_workers=True):
+def _parallel_raw(root, module_names, select, jobs):
     from repro.runner import WorkUnit, execute
     units = [WorkUnit.of(("modules", index), _analyze_worker,
                          root, chunk, select)
              for index, chunk in enumerate(_chunk(module_names, jobs))]
-    report = execute(units, jobs=jobs, reuse_workers=reuse_workers)
+    report = execute(units, jobs=jobs)
     raw = []
     for chunk_findings in report.values():
         raw.extend(chunk_findings)
     return _assign_occurrences(raw)
 
 
-def analyze(root, rules=None, baseline_path=None, select=None, jobs=1,
-            reuse_workers=True):
+def analyze(root, rules=None, baseline_path=None, select=None, jobs=1):
     """Analyze the tree under ``root`` and return an AnalysisResult.
 
     ``select`` limits the run to an iterable of rule ids;
@@ -188,7 +187,7 @@ def analyze(root, rules=None, baseline_path=None, select=None, jobs=1,
     module_names = sorted(project.modules)
     if jobs and jobs > 1 and not custom_rules:
         raw = _parallel_raw(project.root, module_names, select_normalized,
-                            jobs, reuse_workers=reuse_workers)
+                            jobs)
     else:
         _prepare_capabilities(project, rules)
         raw = _raw_findings(project, rules, module_names)

@@ -36,8 +36,8 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 
-#: modules whose wall-clock reads are the *point* (shard timeouts,
-#: straggler detection, bench timing); FID007 suppressions in these
+#: modules whose wall-clock reads are the *point* (unit timeouts,
+#: utilization, bench timing); FID007 suppressions in these
 #: modules document why the readings never enter modelled results
 TIMING_ALLOWED_MODULES = frozenset({
     "repro.runner.executor",

@@ -95,8 +95,7 @@ def _matrix_row(index, attack_fn, include_iommu):
     )
 
 
-def run_matrix(frames=2048, attacks=None, include_iommu=False, jobs=1,
-               reuse_workers=True):
+def run_matrix(frames=2048, attacks=None, include_iommu=False, jobs=1):
     """Run every attack against a fresh baseline and a fresh Fidelius
     host; with ``include_iommu`` a third column runs against a Fidelius
     host with the IOMMU extension armed.  Returns :class:`MatrixRow`\\ s,
@@ -106,7 +105,7 @@ def run_matrix(frames=2048, attacks=None, include_iommu=False, jobs=1,
     units = [WorkUnit.of(index, _matrix_row, index, attack_fn,
                          include_iommu)
              for index, attack_fn in enumerate(attacks or ALL_ATTACKS)]
-    return execute(units, jobs=jobs, reuse_workers=reuse_workers).values()
+    return execute(units, jobs=jobs).values()
 
 
 def format_matrix(rows):

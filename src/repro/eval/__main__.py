@@ -28,89 +28,77 @@ from repro.eval import tables
 from repro.runner import add_jobs_argument
 
 
-def _fig(which, jobs=1, reuse_workers=True):
+def _fig(which, jobs):
     title = {"fig5": "Figure 5: SPECCPU 2006 normalized overhead",
              "fig6": "Figure 6: PARSEC normalized overhead"}[which]
-    print(tables.format_figure(
-        run_figure(which, jobs=jobs, reuse_workers=reuse_workers), title))
+    print(tables.format_figure(run_figure(which, jobs=jobs), title))
 
 
-def _table3():
+def _table3(_jobs):
     print(tables.format_table3(run_table3()))
 
 
-def _micro_gates():
+def _micro_gates(_jobs):
     print(tables.format_gate_costs(gate_cost_benchmark()))
 
 
-def _micro_shadow():
+def _micro_shadow(_jobs):
     print(tables.format_shadow_costs(shadow_cost_benchmark()))
 
 
-def _micro_crypto():
+def _micro_crypto(_jobs):
     print(tables.format_crypto_costs(crypto_copy_benchmark()))
 
 
-def _xsa():
+def _xsa(_jobs):
     from repro.attacks import analyze_xsa
     print(tables.format_xsa(analyze_xsa()))
 
 
-def _attacks(jobs=1, reuse_workers=True):
+def _attacks(jobs):
     from repro.attacks import format_matrix, run_matrix
-    print(format_matrix(run_matrix(jobs=jobs, reuse_workers=reuse_workers)))
+    print(format_matrix(run_matrix(jobs=jobs)))
 
 
-def _tables12():
+def _tables12(_jobs):
     print(tables.format_permission_matrix(permission_matrix()))
     print()
     print(tables.format_instruction_matrix(priv_instruction_matrix()))
 
 
-def _sensitivity(jobs=1, reuse_workers=True):
+def _sensitivity(jobs):
     from repro.eval.sensitivity import (
         encryption_latency_sweep,
         exit_rate_sweep,
         format_exit_rate_sweep,
         format_latency_sweep,
     )
-    print(format_latency_sweep(encryption_latency_sweep(
-        jobs=jobs, reuse_workers=reuse_workers)))
+    print(format_latency_sweep(encryption_latency_sweep(jobs=jobs)))
     print()
-    print(format_exit_rate_sweep(exit_rate_sweep(
-        jobs=jobs, reuse_workers=reuse_workers)))
+    print(format_exit_rate_sweep(exit_rate_sweep(jobs=jobs)))
 
 
-def _report():
+def _report(_jobs):
     from repro.eval.report import generate_report
     print(generate_report())
 
 
-def _functional():
+def _functional(_jobs):
     from repro.eval.functional import format_functional, run_functional
     print(format_functional(run_functional()))
 
 
-def _export():
+def _export(_jobs):
     from repro.eval.export import export_all
     for path in export_all("eval-output"):
         print("wrote", path)
 
 
-#: experiments whose independent work units shard across ``--jobs``
-PARALLEL_COMMANDS = {
-    "fig5": lambda jobs, reuse: _fig("fig5", jobs=jobs,
-                                     reuse_workers=reuse),
-    "fig6": lambda jobs, reuse: _fig("fig6", jobs=jobs,
-                                     reuse_workers=reuse),
-    "attacks": lambda jobs, reuse: _attacks(jobs, reuse_workers=reuse),
-    "sensitivity": lambda jobs, reuse: _sensitivity(jobs,
-                                                    reuse_workers=reuse),
-}
-
+#: every command takes the ``--jobs`` value; fig5, fig6, attacks and
+#: sensitivity shard their independent work units across it
 COMMANDS = {
-    "fig5": lambda: _fig("fig5"),
-    "fig6": lambda: _fig("fig6"),
+    "fig5": lambda jobs: _fig("fig5", jobs),
+    "fig6": lambda jobs: _fig("fig6", jobs),
     "table3": _table3,
     "micro-gates": _micro_gates,
     "micro-shadow": _micro_shadow,
@@ -125,13 +113,6 @@ COMMANDS = {
 }
 
 
-def _dispatch(name, jobs, reuse_workers=True):
-    if jobs != 1 and name in PARALLEL_COMMANDS:
-        PARALLEL_COMMANDS[name](jobs, reuse_workers)
-    else:
-        COMMANDS[name]()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
@@ -142,10 +123,10 @@ def main(argv=None):
     if args.experiment == "all":
         for name in COMMANDS:
             print("=" * 72)
-            _dispatch(name, args.jobs, not args.fresh_workers)
+            COMMANDS[name](args.jobs)
             print()
         return 0
-    _dispatch(args.experiment, args.jobs, not args.fresh_workers)
+    COMMANDS[args.experiment](args.jobs)
     return 0
 
 

@@ -95,8 +95,7 @@ def _spec_dict(spec):
     }
 
 
-def run_profile(profile, jobs=1, reuse_workers=True, costs=None,
-                lockstep=True):
+def run_profile(profile, jobs=1, costs=None, lockstep=True):
     """Run one named profile end to end and assemble the report."""
     try:
         spec = PROFILES[profile]
@@ -106,8 +105,7 @@ def run_profile(profile, jobs=1, reuse_workers=True, costs=None,
     if costs is not None:
         spec = dataclasses.replace(spec, costs=costs)
     started = time.perf_counter()
-    run_report, regions, summary = run_fleet(spec, jobs=jobs,
-                                             reuse_workers=reuse_workers)
+    run_report, regions, summary = run_fleet(spec, jobs=jobs)
     wall_s = time.perf_counter() - started
     lockstep_result = run_lockstep().asdict() if lockstep else None
     max_wall, max_rss = TARGETS[profile]
@@ -217,9 +215,8 @@ def main(argv=None):
     add_jobs_argument(parser)
     args = parser.parse_args(argv)
     costs = load_cost_table(args.costs) if args.costs else None
-    report = run_profile(args.profile, jobs=args.jobs,
-                         reuse_workers=not args.fresh_workers,
-                         costs=costs, lockstep=not args.no_lockstep)
+    report = run_profile(args.profile, jobs=args.jobs, costs=costs,
+                         lockstep=not args.no_lockstep)
     if args.json:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -74,8 +74,7 @@ def evaluate_profile(profile, instructions=200_000, seed=0xACE5,
                        misses, accesses)
 
 
-def run_figure(figure, instructions=200_000, seed=0xACE5, jobs=1,
-               reuse_workers=True):
+def run_figure(figure, instructions=200_000, seed=0xACE5, jobs=1):
     """All rows of one figure: ``"fig5"`` (SPEC) or ``"fig6"`` (PARSEC).
 
     Each benchmark is an independent seeded simulation, so rows shard
@@ -86,7 +85,7 @@ def run_figure(figure, instructions=200_000, seed=0xACE5, jobs=1,
     units = [WorkUnit.of(p.name, evaluate_profile, p,
                          instructions=instructions, seed=seed)
              for p in profiles]
-    return execute(units, jobs=jobs, reuse_workers=reuse_workers).values()
+    return execute(units, jobs=jobs).values()
 
 
 def average_overheads(results):

@@ -25,14 +25,13 @@ Four benchmarks, each warmup + repeat + median:
 (schema ``fidelius-perfbench/3``) with per-benchmark timings/speedups,
 the optimized machine's :meth:`Machine.perf_stats` counters, and a
 ``sharding`` section (host CPU count, ``--jobs`` used, executor mode,
-spawn vs transport vs compute breakdown, per-shard wall-clock and
+spawn vs transport vs compute breakdown, per-benchmark wall-clock and
 utilization from :mod:`repro.runner`), so ``BENCH_*`` trajectories
 stay comparable across machines.  With ``--jobs N`` the four
-benchmarks run across worker processes — the persistent pool by
-default, one fresh process per shard with ``--fresh-workers`` — and
-every deterministic field (cycle totals, digests, equivalence flags)
-is byte-identical to the serial run; :func:`deterministic_digest` is
-the comparison key.  ``--only NAME`` restricts the run to named
+benchmarks run on the runner's persistent worker pool, and every
+deterministic field (cycle totals, digests, equivalence flags) is
+byte-identical to the serial run; :func:`deterministic_digest` is the
+comparison key.  ``--only NAME`` restricts the run to named
 benchmarks (the CI perf-regression gate uses it to re-time
 ``guest_macro`` at full size without paying for the whole suite).
 
@@ -399,10 +398,9 @@ def _run_bench(name, params):
     return BENCH_FNS[name](params)
 
 
-def run_all(quick=False, jobs=1, reuse_workers=True, only=None):
+def run_all(quick=False, jobs=1, only=None):
     """Run the suite (or the subset named by ``only``) and assemble
-    the report.  ``reuse_workers`` selects the persistent pool for
-    sharded runs; ``only`` is an iterable of benchmark names."""
+    the report.  ``only`` is an iterable of benchmark names."""
     params = QUICK if quick else FULL
     names = list(BENCH_FNS) if only is None \
         else [n for n in BENCH_FNS if n in set(only)]
@@ -412,7 +410,7 @@ def run_all(quick=False, jobs=1, reuse_workers=True, only=None):
             sorted(unknown)))
     units = [WorkUnit.of(name, _run_bench, name, params)
              for name in names]
-    report = execute(units, jobs=jobs, reuse_workers=reuse_workers)
+    report = execute(units, jobs=jobs)
     benchmarks = dict(zip(names, report.values()))
     counters = benchmarks["guest_macro"].pop("perf_stats") \
         if "guest_macro" in benchmarks else {}
@@ -493,9 +491,7 @@ def main(argv=None):
                              "'--only guest_macro'")
     add_jobs_argument(parser)
     args = parser.parse_args(argv)
-    report = run_all(quick=args.quick, jobs=args.jobs,
-                     reuse_workers=not args.fresh_workers,
-                     only=args.only)
+    report = run_all(quick=args.quick, jobs=args.jobs, only=args.only)
     if args.json:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -46,8 +46,7 @@ def _exit_rate_point(base_benchmark, rate, instructions):
 
 def encryption_latency_sweep(benchmarks=("mcf", "gcc", "hmmer"),
                              latencies=DEFAULT_LATENCIES,
-                             instructions=100_000, jobs=1,
-                             reuse_workers=True):
+                             instructions=100_000, jobs=1):
     """Fidelius-enc overhead as a function of engine latency.
 
     Every (benchmark, latency) point is an independent simulation, so
@@ -57,19 +56,18 @@ def encryption_latency_sweep(benchmarks=("mcf", "gcc", "hmmer"),
     units = [WorkUnit.of((name, latency), _latency_point,
                          name, latency, instructions)
              for name in benchmarks for latency in latencies]
-    values = iter(execute(units, jobs=jobs,
-                          reuse_workers=reuse_workers).values())
+    values = iter(execute(units, jobs=jobs).values())
     return {name: [next(values) for _ in latencies]
             for name in benchmarks}
 
 
 def exit_rate_sweep(base_benchmark="gcc", rates=DEFAULT_EXIT_RATES,
-                    instructions=100_000, jobs=1, reuse_workers=True):
+                    instructions=100_000, jobs=1):
     """Fidelius (no encryption) overhead as a function of VM-exit rate."""
     units = [WorkUnit.of(rate, _exit_rate_point,
                          base_benchmark, rate, instructions)
              for rate in rates]
-    return execute(units, jobs=jobs, reuse_workers=reuse_workers).values()
+    return execute(units, jobs=jobs).values()
 
 
 def format_latency_sweep(sweeps):

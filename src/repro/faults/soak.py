@@ -58,13 +58,7 @@ from repro.eval.security import plaintext_leak_scan
 from repro.faults.inject import FireWindow, arm_cloud, schedule_bytes
 from repro.faults.plan import FaultPlan
 from repro.fleet.events import Event, EventQueue
-from repro.runner import (
-    WorkUnit,
-    add_jobs_argument,
-    digest,
-    execute,
-    unit_checkpoint_path,
-)
+from repro.runner import WorkUnit, add_jobs_argument, digest, execute
 from repro.system import GuestOwner
 from repro.xen import hypercalls as hc
 
@@ -422,16 +416,28 @@ def run_scenario(seed, hosts=3, tenants=2, frames=1024, nfaults=4,
 # -- sweeps ----------------------------------------------------------------------
 
 
-def soak_report(seeds=DEFAULT_SEEDS, jobs=1, reuse_workers=True,
-                checkpoint_dir=None, every_events=0, **scenario_kwargs):
+def unit_checkpoint_path(base_dir, key):
+    """The per-seed checkpoint directory under ``base_dir``.
+
+    Seeds running in different worker processes must never share one
+    checkpoint store (two writers would race the same latest-pointer),
+    so each seed gets its own subdirectory; the sweep's checkpoint
+    writer and its resume path agree on the layout through this one
+    function, whatever process either runs in.
+    """
+    return os.path.join(base_dir, "unit-%s" % (key,))
+
+
+def soak_report(seeds=DEFAULT_SEEDS, jobs=1, checkpoint_dir=None,
+                every_events=0, **scenario_kwargs):
     """Run every seed through the sharded runner; returns the
-    :class:`~repro.runner.executor.RunReport` (per-shard wall-clock,
+    :class:`~repro.runner.executor.RunReport` (per-seed wall-clock,
     utilization, diagnostic events) with results in seed order.
 
     With ``checkpoint_dir`` and ``every_events`` each scenario
     checkpoints itself mid-run into its own per-seed store
-    (:func:`repro.runner.unit_checkpoint_path`, so sharded workers
-    never share a store).
+    (:func:`unit_checkpoint_path`, so pool workers never share a
+    store).
 
     Every scenario is shared-nothing and fully seed-determined, so the
     merged results are byte-identical whatever ``jobs`` is — the
@@ -446,14 +452,12 @@ def soak_report(seeds=DEFAULT_SEEDS, jobs=1, reuse_workers=True,
                 checkpoint_dir=unit_checkpoint_path(checkpoint_dir, seed),
                 every_events=every_events)
         units.append(WorkUnit.of(seed, run_scenario, seed, **kwargs))
-    return execute(units, jobs=jobs, reuse_workers=reuse_workers)
+    return execute(units, jobs=jobs)
 
 
-def soak(seeds=DEFAULT_SEEDS, jobs=1, reuse_workers=True,
-         **scenario_kwargs):
+def soak(seeds=DEFAULT_SEEDS, jobs=1, **scenario_kwargs):
     """Run every seed; returns the list of :class:`SoakResult`."""
-    return soak_report(seeds, jobs=jobs, reuse_workers=reuse_workers,
-                       **scenario_kwargs).values()
+    return soak_report(seeds, jobs=jobs, **scenario_kwargs).values()
 
 
 def results_digest(results):
@@ -478,7 +482,7 @@ def _write_progress(store, results, next_index, params):
 
 def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
                    resume=False, jobs=1, sigkill_after=None,
-                   reuse_workers=True, **scenario_kwargs):
+                   **scenario_kwargs):
     """A seed sweep that survives being killed at any instant.
 
     Completed-seed results are checkpointed into
@@ -526,7 +530,6 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
         if sigkill_after is not None and index < sigkill_after <= stop:
             stop = sigkill_after
         report = soak_report(seeds[index:stop], jobs=jobs,
-                             reuse_workers=reuse_workers,
                              checkpoint_dir=checkpoint_dir,
                              every_events=every_events, **scenario_kwargs)
         results.extend(report.values())
@@ -597,11 +600,9 @@ def main(argv=None):
             every_seeds=args.checkpoint_every,
             every_events=args.checkpoint_events,
             resume=args.resume, jobs=args.jobs,
-            reuse_workers=not args.fresh_workers,
             sigkill_after=args.sigkill_after, **scenario_kwargs)
     else:
         report = soak_report(range(args.seeds), jobs=args.jobs,
-                             reuse_workers=not args.fresh_workers,
                              **scenario_kwargs)
         results = report.values()
     for result in results:

@@ -231,7 +231,7 @@ def summarize(reports):
     }
 
 
-def run_fleet(spec, jobs=1, reuse_workers=True):
+def run_fleet(spec, jobs=1):
     """Shard a multi-region spec through the runner and merge.
 
     Returns ``(run_report, region_reports, summary)``; the summary's
@@ -239,6 +239,6 @@ def run_fleet(spec, jobs=1, reuse_workers=True):
     """
     units = [WorkUnit.of(region.region, drive_region, region)
              for region in region_specs(spec)]
-    run_report = execute(units, jobs=jobs, reuse_workers=reuse_workers)
+    run_report = execute(units, jobs=jobs)
     reports = run_report.values()
     return run_report, reports, summarize(reports)

@@ -1,63 +1,56 @@
-"""The shard executor: serial by default, a worker pool on request.
+"""The executor: serial in-process, or a persistent worker pool.
 
 ``execute(units, jobs=N)`` runs every :class:`~repro.runner.plan.WorkUnit`
-and returns a :class:`RunReport` whose results are re-sorted into the
-plan's submission order, so the aggregated output is byte-identical
-whatever ``jobs`` was and whichever worker finished first.
+and returns a :class:`RunReport` whose results are in submission order,
+so the aggregated output is byte-identical whatever ``jobs`` was and
+whichever worker finished first.
 
 * ``jobs=1`` (the default) runs everything in-process with no
   ``multiprocessing`` machinery at all — the path the determinism
   tooling audits, and the baseline the differential tests compare
   against.
-* ``jobs>1`` with ``reuse_workers=True`` (the default) dispatches
-  shards to a pool of at most ``jobs`` *persistent* worker processes.
-  Each worker executes many shards over its lifetime, so process-global
-  derived caches (the keystream line/midstate/span LRUs) stay warm
-  across shards — the registry-audited shard-purity rule (FID013) is
-  what makes that safe: work units cannot mutate unregistered module
-  state, so a warm cache can change wall-clock but never results.
-  Shards travel to workers, and result lists travel back, as single
-  pickle-framed byte blobs per shard (one ``send_bytes`` each way, not
-  one pickle per result), so the spawn/serialize overhead is measurable:
-  the report's ``sharding`` section breaks out spawn vs transport vs
+* ``jobs>1`` dispatches units to at most ``jobs`` *persistent* worker
+  processes.  A new worker is handed its first unit the moment it is
+  spawned, and takes the next pending unit whenever it goes idle, so
+  process-global derived caches (the keystream line/midstate/span
+  LRUs) stay warm across the units one worker runs — the
+  registry-audited shard-purity rule (FID013) is what makes that safe:
+  work units cannot mutate unregistered module state, so a warm cache
+  can change wall-clock but never results.  With ``jobs`` at least the
+  number of units, every unit runs in a new process of its own.  Units
+  travel to workers, and results travel back, as one pickled byte blob
+  each way, so the spawn/serialize overhead is measurable: the
+  report's ``sharding`` section breaks out spawn vs transport vs
   compute time and the bytes moved.
-* ``jobs>1`` with ``reuse_workers=False`` forks one fresh process per
-  shard attempt (the pre-pool behaviour) — kept both as the
-  cold-cache control for the pool-vs-fresh CI diff and for workloads
-  that want per-shard process isolation.
 
-Failure handling is identical in both parallel modes: a worker that
-raises reports a per-unit error; a worker that *dies* (segfault,
-``os._exit``, OOM kill) fails only the shard it was running, which is
-retried up to ``retries`` times — on a fresh replacement worker — before
-the shard is marked failed.  Shards exceeding ``timeout_s`` are
-terminated and retried the same way.  A shard still running long after
-the median completed shard time is flagged as a straggler (diagnostic
-event only; it is allowed to finish).
+A unit that raises reports its traceback and fails alone.  A worker
+that *dies* (segfault, ``os._exit``, OOM kill) fails only the unit it
+holds, which is retried up to ``retries`` times — on a fresh
+replacement worker — before it is marked failed.  No worker exists
+without a unit, and a send to a dead worker counts as a crash, so every
+death is charged to one unit's retry budget, even a death before the
+worker is up.  Units exceeding ``timeout_s`` (counted from dispatch,
+which for a worker's first unit includes its start-up) are killed and
+retried the same way.
 
-Per-shard keystream-cache statistics are captured by *delta snapshots*
-(:func:`repro.common.crypto.keystream_cache_delta`) around each shard,
+Per-unit keystream-cache statistics are captured by *delta snapshots*
+(:func:`repro.common.crypto.keystream_cache_delta`) around each unit,
 never by clearing the cache — clearing would throw away exactly the
-warmth the pool exists to preserve.  Fresh processes start from zero
-counters, so their deltas equal their absolute stats and the two modes
-report the same shape.
+warmth the pool exists to preserve.
 
 Failures never silently truncate a run: :meth:`RunReport.values`
-raises :class:`RunnerError` listing every failed shard key.
+raises :class:`RunnerError` listing every failed unit key.
 
 Wall-clock is inherently part of this module's contract (timeouts,
-straggler detection, utilization and transport counters); every
-*modelled* quantity in the work units themselves still comes from the
-cycle counter.
+utilization and transport counters); every *modelled* quantity in the
+work units themselves still comes from the cycle counter.
 """
 
 import multiprocessing
 import pickle
-import statistics
 # fidelint: ignore[FID007] -- the executor schedules and measures host
-# wall-clock (shard timeouts, straggler detection, utilization); it
-# never feeds time into modelled results, which remain pure functions
-# of their seeds.
+# wall-clock (unit timeouts, utilization); it never feeds time into
+# modelled results, which remain pure functions of their seeds.
 import time
 import traceback
 from collections import deque
@@ -66,7 +59,6 @@ from multiprocessing import connection
 
 from repro.common import crypto
 from repro.common.errors import ReproError
-from repro.runner.plan import ShardPlan
 
 #: Parent poll cadence while workers run (seconds).
 _TICK_S = 0.05
@@ -80,7 +72,7 @@ _SHUTDOWN = b""
 
 
 class RunnerError(ReproError):
-    """A shard failed after exhausting its retry budget."""
+    """A unit failed after exhausting its retry budget."""
 
 
 @dataclass
@@ -100,12 +92,11 @@ class ShardResult:
 class RunReport:
     """Everything one ``execute`` call observed.
 
-    ``results`` is in plan submission order — the deterministic merge.
-    ``events`` (crashes, retries, timeouts, stragglers) and
-    ``sharding`` (spawn/transport/compute breakdown, per-shard
-    keystream-cache deltas) are wall-clock diagnostics and may
-    legitimately differ between runs; nothing deterministic may be
-    derived from them.
+    ``results`` is in submission order — the deterministic merge.
+    ``events`` (crashes, retries, timeouts) and ``sharding``
+    (spawn/transport/compute breakdown, per-unit keystream-cache
+    deltas) are wall-clock diagnostics and may legitimately differ
+    between runs; nothing deterministic may be derived from them.
     """
 
     jobs: int
@@ -120,11 +111,12 @@ class RunReport:
         return [r for r in self.results if not r.ok]
 
     def values(self):
-        """The unit return values in plan order; raises on any failure."""
+        """The unit return values in submission order; raises on any
+        failure."""
         bad = self.failed
         if bad:
             raise RunnerError(
-                "%d/%d shards failed: %s" % (
+                "%d/%d units failed: %s" % (
                     len(bad), len(self.results),
                     "; ".join("%r: %s" % (r.key, r.error.strip().splitlines()[-1]
                                           if r.error else "unknown")
@@ -138,51 +130,28 @@ class RunReport:
         return min(1.0, self.busy_s / (self.wall_s * self.jobs))
 
     def shard_counters(self):
-        """JSON-able per-shard wall-clock counters for bench artifacts."""
+        """JSON-able per-unit wall-clock counters for bench artifacts."""
         return [{"key": str(r.key), "ok": r.ok, "elapsed_s": r.elapsed_s,
                  "attempts": r.attempts, "worker": r.worker}
                 for r in self.results]
 
 
-def _run_units(units):
-    """Run every unit of one shard; per-unit outcomes, never raises.
-
-    Clean exceptions are caught per unit so one bad seed cannot take
-    its shard-mates down with it; only a hard death (crash, kill,
-    unpicklable result) loses the whole shard attempt.
-    """
-    out = []
-    for unit in units:
-        t0 = time.perf_counter()
-        try:
-            value = unit.call()
-            out.append((unit.key, True, value, "",
-                        time.perf_counter() - t0))
-        except Exception:
-            out.append((unit.key, False, None, traceback.format_exc(),
-                        time.perf_counter() - t0))
-    return out
-
-
-def _frame(out, keystream):
-    """One result blob per shard: framed bytes, pickled once."""
-    return pickle.dumps((out, keystream), pickle.HIGHEST_PROTOCOL)
-
-
-def _shard_worker(conn, shard):
-    """Fresh-process entry: run one shard, send one framed result."""
-    before = crypto.keystream_cache_stats()
-    out = _run_units(shard.units)
-    conn.send_bytes(_frame(out, crypto.keystream_cache_delta(before)))
-    conn.close()
+def _run_unit(unit):
+    """Run one unit: ``(key, ok, value, error, elapsed_s)``, never raises."""
+    t0 = time.perf_counter()
+    try:
+        return unit.key, True, unit.call(), "", time.perf_counter() - t0
+    except Exception:
+        return (unit.key, False, None, traceback.format_exc(),
+                time.perf_counter() - t0)
 
 
 def _pool_worker(conn):
-    """Persistent-worker entry: announce readiness, then serve shards
-    until the shutdown sentinel (or a closed pipe).
+    """Worker entry: announce readiness, then serve units until the
+    shutdown sentinel (or a closed pipe).
 
-    Nothing is cleared between shards: the keystream caches stay warm
-    on purpose, and the per-shard statistics are delta snapshots.
+    Nothing is cleared between units: the keystream caches stay warm
+    on purpose, and the per-unit statistics are delta snapshots.
     """
     conn.send_bytes(_READY)
     while True:
@@ -192,17 +161,28 @@ def _pool_worker(conn):
             break
         if blob == _SHUTDOWN:
             break
-        shard = pickle.loads(blob)
+        unit = pickle.loads(blob)
         before = crypto.keystream_cache_stats()
-        out = _run_units(shard.units)
-        conn.send_bytes(_frame(out, crypto.keystream_cache_delta(before)))
+        outcome = _run_unit(unit)
+        conn.send_bytes(pickle.dumps(
+            (outcome, crypto.keystream_cache_delta(before)),
+            pickle.HIGHEST_PROTOCOL))
     conn.close()
 
 
-def _new_sharding(mode):
-    """The skeleton of a report's ``sharding`` diagnostics section."""
-    return {
-        "mode": mode,
+def execute(units, jobs=1, timeout_s=None, retries=1):
+    """Run every unit and merge the results in submission order.
+
+    Unit keys must be unique: they are the merge key.
+    """
+    units = list(units)
+    seen = set()
+    for unit in units:
+        if unit.key in seen:
+            raise ReproError("duplicate work-unit key %r" % (unit.key,))
+        seen.add(unit.key)
+    sharding = {
+        "mode": "serial" if jobs <= 1 else "pool",
         "workers_spawned": 0,
         "spawn_s": 0.0,
         "transport_s": 0.0,
@@ -211,203 +191,65 @@ def _new_sharding(mode):
         "compute_s": 0.0,
         "shards": [],
     }
-
-
-def execute(units_or_plan, jobs=1, timeout_s=None, retries=1,
-            straggler_factor=4.0, straggler_min_s=1.0, on_event=None,
-            reuse_workers=True):
-    """Run a plan (or a plain iterable of units) and merge the results.
-
-    ``on_event(kind, details)``, when given, mirrors every diagnostic
-    event as it happens (for live progress reporting).
-    ``reuse_workers`` selects the persistent pool for ``jobs>1``;
-    ``False`` restores one fresh process per shard attempt.
-    """
-    if isinstance(units_or_plan, ShardPlan):
-        plan = units_or_plan
-    else:
-        plan = ShardPlan.single(list(units_or_plan))
     events = []
-
-    def emit(kind, **details):
-        events.append((kind, details))
-        if on_event is not None:
-            on_event(kind, details)
-
     t_start = time.perf_counter()
     if jobs <= 1:
-        sharding = _new_sharding("serial")
-        by_key = _execute_serial(plan, sharding)
         jobs = 1
-    elif reuse_workers:
-        sharding = _new_sharding("pool")
-        by_key = _execute_pool(plan, jobs, timeout_s, retries,
-                               straggler_factor, straggler_min_s, emit,
-                               sharding)
+        by_key = _execute_serial(units, sharding)
     else:
-        sharding = _new_sharding("fresh")
-        by_key = _execute_fresh(plan, jobs, timeout_s, retries,
-                                straggler_factor, straggler_min_s, emit,
-                                sharding)
+        by_key = _execute_pool(units, jobs, timeout_s, retries, events,
+                               sharding)
     wall_s = time.perf_counter() - t_start
-    ordered = [by_key[key] for key in plan.key_order]
+    ordered = [by_key[unit.key] for unit in units]
     busy_s = sum(r.elapsed_s for r in ordered)
     sharding["compute_s"] = busy_s
     return RunReport(jobs=jobs, results=ordered, wall_s=wall_s,
                      busy_s=busy_s, events=events, sharding=sharding)
 
 
-def _execute_serial(plan, sharding):
+def _execute_serial(units, sharding):
     by_key = {}
-    for shard in plan.shards:
+    for index, unit in enumerate(units):
         before = crypto.keystream_cache_stats()
-        for key, ok, value, error, elapsed in _run_units(shard.units):
-            by_key[key] = ShardResult(key, ok, value, error, elapsed)
+        by_key[unit.key] = ShardResult(*_run_unit(unit))
         sharding["shards"].append({
-            "shard": shard.index, "worker": "serial",
+            "shard": index, "worker": "serial",
             "keystream": crypto.keystream_cache_delta(before)})
-    return by_key
-
-
-def _fail_or_retry_fn(attempts, retries, pending, by_key, emit):
-    def fail_or_retry(shard, reason):
-        if attempts[shard.index] <= retries:
-            emit("shard-retried", shard=shard.index, keys=shard.keys,
-                 attempt=attempts[shard.index], reason=reason)
-            pending.append(shard)
-            return
-        emit("shard-failed", shard=shard.index, keys=shard.keys,
-             attempts=attempts[shard.index], reason=reason)
-        for unit in shard.units:
-            by_key[unit.key] = ShardResult(
-                unit.key, False, error=reason,
-                attempts=attempts[shard.index], worker="dead")
-    return fail_or_retry
-
-
-def _merge_payload(by_key, payload, attempt, worker_name, shard_index,
-                   sharding):
-    out, keystream = payload
-    for key, ok, value, error, unit_elapsed in out:
-        by_key[key] = ShardResult(key, ok, value, error, unit_elapsed,
-                                  attempt, worker=worker_name)
-    sharding["shards"].append({
-        "shard": shard_index, "worker": worker_name,
-        "keystream": keystream})
-
-
-def _execute_fresh(plan, jobs, timeout_s, retries,
-                   straggler_factor, straggler_min_s, emit, sharding):
-    """One fresh process per shard attempt (cold caches every time)."""
-    ctx = multiprocessing.get_context()
-    pending = deque(plan.shards)
-    attempts = {shard.index: 0 for shard in plan.shards}
-    running = {}        # conn -> [shard, process, started_at, flagged]
-    by_key = {}
-    completed_s = []    # parent-side shard wall times, for the median
-    fail_or_retry = _fail_or_retry_fn(attempts, retries, pending, by_key,
-                                      emit)
-
-    while pending or running:
-        while pending and len(running) < jobs:
-            shard = pending.popleft()
-            attempts[shard.index] += 1
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            t0 = time.perf_counter()
-            process = ctx.Process(target=_shard_worker,
-                                  args=(child_conn, shard))
-            process.daemon = True
-            process.start()
-            sharding["spawn_s"] += time.perf_counter() - t0
-            sharding["workers_spawned"] += 1
-            child_conn.close()
-            running[parent_conn] = [shard, process,
-                                    time.perf_counter(), False]
-
-        ready = connection.wait(list(running), timeout=_TICK_S)
-        now = time.perf_counter()
-        for conn in ready:
-            shard, process, started, _ = running.pop(conn)
-            t0 = time.perf_counter()
-            try:
-                blob = conn.recv_bytes()
-                payload = pickle.loads(blob)
-            except (EOFError, OSError):
-                blob = payload = None
-            sharding["transport_s"] += time.perf_counter() - t0
-            conn.close()
-            process.join()
-            if payload is None:
-                emit("worker-crashed", shard=shard.index, keys=shard.keys,
-                     exitcode=process.exitcode,
-                     attempt=attempts[shard.index])
-                fail_or_retry(shard, "worker crashed (exitcode %s)"
-                              % (process.exitcode,))
-                continue
-            sharding["result_bytes"] += len(blob)
-            completed_s.append(now - started)
-            _merge_payload(by_key, payload, attempts[shard.index],
-                           "pid:%d" % process.pid, shard.index, sharding)
-
-        now = time.perf_counter()
-        for conn, state in list(running.items()):
-            shard, process, started, flagged = state
-            run_for = now - started
-            if timeout_s is not None and run_for > timeout_s:
-                process.terminate()
-                process.join()
-                del running[conn]
-                conn.close()
-                emit("shard-timeout", shard=shard.index, keys=shard.keys,
-                     after_s=run_for, attempt=attempts[shard.index])
-                fail_or_retry(shard, "timed out after %.2fs" % run_for)
-            elif not flagged and completed_s and run_for > straggler_min_s \
-                    and run_for > straggler_factor * max(
-                        statistics.median(completed_s), 1e-9):
-                state[3] = True
-                emit("straggler-detected", shard=shard.index,
-                     keys=shard.keys, running_s=run_for,
-                     median_s=statistics.median(completed_s))
     return by_key
 
 
 class _PoolWorker:
     """Parent-side bookkeeping for one persistent worker process."""
 
-    __slots__ = ("process", "shard", "started", "flagged", "spawned_at",
-                 "ready")
+    __slots__ = ("process", "spawned_at", "index", "started")
 
     def __init__(self, process, spawned_at):
         self.process = process
-        self.shard = None          # shard currently running, if any
-        self.started = 0.0         # when that shard was dispatched
-        self.flagged = False       # straggler-flagged for that shard
         self.spawned_at = spawned_at
-        self.ready = False         # has the READY frame arrived yet
+        self.index = None          # submission index of the unit it holds
+        self.started = 0.0         # when that unit was dispatched
 
 
-def _execute_pool(plan, jobs, timeout_s, retries,
-                  straggler_factor, straggler_min_s, emit, sharding):
-    """Persistent pool: at most ``jobs`` long-lived workers, each
-    executing many shards with warm process-global caches."""
+def _execute_pool(units, jobs, timeout_s, retries, events, sharding):
+    """At most ``jobs`` long-lived workers, each running many units
+    with warm process-global caches."""
     ctx = multiprocessing.get_context()
-    pending = deque(plan.shards)
-    attempts = {shard.index: 0 for shard in plan.shards}
+    pending = deque(range(len(units)))
+    attempts = [0] * len(units)
     by_key = {}
-    completed_s = []
     workers = {}        # conn -> _PoolWorker
-    fail_or_retry = _fail_or_retry_fn(attempts, retries, pending, by_key,
-                                      emit)
 
-    def spawn():
-        parent_conn, child_conn = ctx.Pipe()
-        t0 = time.perf_counter()
-        process = ctx.Process(target=_pool_worker, args=(child_conn,))
-        process.daemon = True
-        process.start()
-        child_conn.close()
-        workers[parent_conn] = _PoolWorker(process, t0)
-        sharding["workers_spawned"] += 1
+    def fail_or_retry(index, reason):
+        key = units[index].key
+        if attempts[index] <= retries:
+            events.append(("shard-retried", {
+                "key": key, "attempt": attempts[index], "reason": reason}))
+            pending.append(index)
+            return
+        events.append(("shard-failed", {
+            "key": key, "attempts": attempts[index], "reason": reason}))
+        by_key[key] = ShardResult(key, False, error=reason,
+                                  attempts=attempts[index], worker="dead")
 
     def retire(conn, worker, kill=False):
         del workers[conn]
@@ -416,86 +258,87 @@ def _execute_pool(plan, jobs, timeout_s, retries,
         worker.process.join()
         conn.close()
 
+    def crashed(conn, worker):
+        retire(conn, worker)
+        index = worker.index
+        if index is None:
+            return                 # an idle worker held no unit
+        exitcode = worker.process.exitcode
+        events.append(("worker-crashed", {
+            "key": units[index].key, "exitcode": exitcode,
+            "attempt": attempts[index]}))
+        fail_or_retry(index, "worker crashed (exitcode %s)" % (exitcode,))
+
     def dispatch(conn, worker):
-        shard = pending.popleft()
-        attempts[shard.index] += 1
-        t0 = time.perf_counter()
-        blob = pickle.dumps(shard, pickle.HIGHEST_PROTOCOL)
-        conn.send_bytes(blob)
+        index = pending.popleft()
+        attempts[index] += 1
+        worker.index = index
+        worker.started = t0 = time.perf_counter()
+        blob = pickle.dumps(units[index], pickle.HIGHEST_PROTOCOL)
+        try:
+            conn.send_bytes(blob)
+        except OSError:
+            crashed(conn, worker)
+            return
         sharding["transport_s"] += time.perf_counter() - t0
         sharding["dispatch_bytes"] += len(blob)
-        worker.shard = shard
-        worker.started = time.perf_counter()
-        worker.flagged = False
 
-    while pending or any(w.shard is not None for w in workers.values()):
-        busy = sum(1 for w in workers.values() if w.shard is not None)
-        while len(workers) < min(jobs, busy + len(pending)):
-            spawn()
+    def spawn():
+        parent_conn, child_conn = ctx.Pipe()
+        worker = _PoolWorker(
+            ctx.Process(target=_pool_worker, args=(child_conn,),
+                        daemon=True),
+            time.perf_counter())
+        worker.process.start()
+        child_conn.close()
+        workers[parent_conn] = worker
+        sharding["workers_spawned"] += 1
+        dispatch(parent_conn, worker)
+
+    while pending or any(w.index is not None for w in workers.values()):
         for conn, worker in list(workers.items()):
-            if not pending:
-                break
-            if worker.ready and worker.shard is None:
+            if pending and worker.index is None:
                 dispatch(conn, worker)
+        while pending and len(workers) < jobs:
+            spawn()
 
-        ready = connection.wait(list(workers), timeout=_TICK_S)
-        now = time.perf_counter()
-        for conn in ready:
-            worker = workers.get(conn)
-            if worker is None:
-                continue
+        for conn in connection.wait(list(workers), timeout=_TICK_S):
+            worker = workers[conn]
             t0 = time.perf_counter()
             try:
                 blob = conn.recv_bytes()
             except (EOFError, OSError):
-                shard = worker.shard
-                retire(conn, worker)
-                if shard is not None:
-                    emit("worker-crashed", shard=shard.index,
-                         keys=shard.keys,
-                         exitcode=worker.process.exitcode,
-                         attempt=attempts[shard.index])
-                    fail_or_retry(shard, "worker crashed (exitcode %s)"
-                                  % (worker.process.exitcode,))
+                crashed(conn, worker)
                 continue
-            if not worker.ready:
-                worker.ready = True
-                sharding["spawn_s"] += now - worker.spawned_at
+            if blob == _READY:
+                sharding["spawn_s"] += t0 - worker.spawned_at
                 continue
-            payload = pickle.loads(blob)
+            (key, ok, value, error, elapsed), keystream = pickle.loads(blob)
             sharding["transport_s"] += time.perf_counter() - t0
             sharding["result_bytes"] += len(blob)
-            shard = worker.shard
-            worker.shard = None
-            completed_s.append(now - worker.started)
-            _merge_payload(by_key, payload, attempts[shard.index],
-                           "pid:%d" % worker.process.pid, shard.index,
-                           sharding)
+            name = "pid:%d" % worker.process.pid
+            by_key[key] = ShardResult(key, ok, value, error, elapsed,
+                                      attempts[worker.index], worker=name)
+            sharding["shards"].append({
+                "shard": worker.index, "worker": name,
+                "keystream": keystream})
+            worker.index = None
 
         now = time.perf_counter()
         for conn, worker in list(workers.items()):
-            if worker.shard is None:
+            index, run_for = worker.index, now - worker.started
+            if index is None or timeout_s is None or run_for <= timeout_s:
                 continue
-            run_for = now - worker.started
-            if timeout_s is not None and run_for > timeout_s:
-                shard = worker.shard
-                retire(conn, worker, kill=True)
-                emit("shard-timeout", shard=shard.index, keys=shard.keys,
-                     after_s=run_for, attempt=attempts[shard.index])
-                fail_or_retry(shard, "timed out after %.2fs" % run_for)
-            elif not worker.flagged and completed_s \
-                    and run_for > straggler_min_s \
-                    and run_for > straggler_factor * max(
-                        statistics.median(completed_s), 1e-9):
-                worker.flagged = True
-                emit("straggler-detected", shard=worker.shard.index,
-                     keys=worker.shard.keys, running_s=run_for,
-                     median_s=statistics.median(completed_s))
+            retire(conn, worker, kill=True)
+            events.append(("shard-timeout", {
+                "key": units[index].key, "after_s": run_for,
+                "attempt": attempts[index]}))
+            fail_or_retry(index, "timed out after %.2fs" % run_for)
 
-    for conn, worker in workers.items():
+    for conn in workers:
         try:
             conn.send_bytes(_SHUTDOWN)
-        except (BrokenPipeError, OSError):
+        except OSError:
             pass
     for conn, worker in workers.items():
         worker.process.join()

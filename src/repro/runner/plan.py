@@ -1,30 +1,21 @@
-"""Deterministic shard planning for embarrassingly parallel runs.
+"""The unit of parallel work.
 
 A :class:`WorkUnit` names one independent piece of work — a soak seed,
 an eval benchmark, an attack case, a sensitivity sweep point — as a
-picklable ``(key, fn, args, kwargs)`` tuple.  A :class:`ShardPlan`
-groups units into :class:`Shard`\\ s, the granularity at which the
-executor dispatches worker processes, retries crashes and applies
-timeouts.
-
-Planning is pure bookkeeping and therefore deterministic: the same
-units in the same order always produce the same plan, whatever ``jobs``
-the executor later runs it with.  The plan also remembers the original
-submission order (:attr:`ShardPlan.key_order`) so the merge step can
-re-sort results into a canonical order that is independent of which
-worker finished first.
+picklable ``(key, fn, args, kwargs)`` tuple.  A run is a plain list of
+units: the executor dispatches each one on its own, retries it on a
+crash or timeout, and merges the results back into submission order,
+keyed by ``key``.
 """
 
 from dataclasses import dataclass
-
-from repro.common.errors import ReproError
 
 
 @dataclass(frozen=True)
 class WorkUnit:
     """One independent, picklable piece of work.
 
-    ``key`` must be unique within a plan, hashable, and stable across
+    ``key`` must be unique within a run, hashable, and stable across
     runs — it is the merge key.  ``fn`` must be a module-level callable
     (so worker processes can import it); ``kwargs`` is stored as a
     sorted tuple of pairs to keep the unit hashable and its pickled
@@ -42,73 +33,3 @@ class WorkUnit:
 
     def call(self):
         return self.fn(*self.args, **dict(self.kwargs))
-
-
-@dataclass(frozen=True)
-class Shard:
-    """A dispatch unit: one worker process runs one shard attempt."""
-
-    index: int
-    units: tuple
-
-    @property
-    def keys(self):
-        return tuple(unit.key for unit in self.units)
-
-
-class ShardPlan:
-    """An ordered split of work units into shards."""
-
-    def __init__(self, shard_unit_lists, key_order):
-        self.shards = [Shard(index, tuple(units))
-                       for index, units in enumerate(shard_unit_lists)
-                       if units]
-        self.key_order = list(key_order)
-        seen = set()
-        for key in self.key_order:
-            if key in seen:
-                raise ReproError("duplicate shard key %r" % (key,))
-            seen.add(key)
-        planned = [k for shard in self.shards for k in shard.keys]
-        if sorted(map(repr, planned)) != sorted(map(repr, self.key_order)):
-            raise ReproError("shard plan does not cover the unit set")
-
-    def __len__(self):
-        return len(self.shards)
-
-    @property
-    def unit_count(self):
-        return len(self.key_order)
-
-    @classmethod
-    def single(cls, units):
-        """One shard per unit — maximum scheduling freedom, finest
-        retry/timeout granularity.  The default for every built-in
-        caller."""
-        units = list(units)
-        return cls([[unit] for unit in units], [u.key for u in units])
-
-    @classmethod
-    def interleaved(cls, units, nshards):
-        """Unit ``i`` goes to shard ``i % nshards`` — balances a work
-        list whose cost trends with position (e.g. growing seeds)."""
-        units = list(units)
-        nshards = max(1, min(nshards, len(units)))
-        buckets = [[] for _ in range(nshards)]
-        for index, unit in enumerate(units):
-            buckets[index % nshards].append(unit)
-        return cls(buckets, [u.key for u in units])
-
-    @classmethod
-    def chunked(cls, units, nshards):
-        """Contiguous runs of units per shard — fewer process spawns
-        when per-unit work is tiny."""
-        units = list(units)
-        nshards = max(1, min(nshards, len(units)))
-        size, extra = divmod(len(units), nshards)
-        buckets, start = [], 0
-        for index in range(nshards):
-            take = size + (1 if index < extra else 0)
-            buckets.append(units[start:start + take])
-            start += take
-        return cls(buckets, [u.key for u in units])

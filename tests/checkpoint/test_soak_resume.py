@@ -15,8 +15,11 @@ import sys
 import pytest
 
 from repro.checkpoint.store import CheckpointError, CheckpointStore
-from repro.faults.soak import resumable_soak, run_scenario
-from repro.runner import unit_checkpoint_path
+from repro.faults.soak import (
+    resumable_soak,
+    run_scenario,
+    unit_checkpoint_path,
+)
 
 PARAMS = {"hosts": 2, "tenants": 2, "frames": 512, "nfaults": 6}
 

@@ -61,7 +61,7 @@ class TestReportSchema:
 class TestDeterministicDigest:
     def test_serial_and_sharded_digests_agree(self):
         serial = _report(jobs=1)
-        sharded = _report(jobs=2, reuse_workers=False)
+        sharded = _report(jobs=2)
         assert fleetbench.deterministic_digest(serial) == \
             fleetbench.deterministic_digest(sharded)
         # ...even though the measured section genuinely differs

@@ -52,8 +52,7 @@ class TestDeterminism:
 
     def test_sharded_sweep_digest_matches_serial(self):
         serial = soak_report(seeds=(1, 2), jobs=1, **PARAMS)
-        sharded = soak_report(seeds=(1, 2), jobs=2, reuse_workers=False,
-                              **PARAMS)
+        sharded = soak_report(seeds=(1, 2), jobs=2, **PARAMS)
         assert results_digest(serial.values()) == \
             results_digest(sharded.values())
 

@@ -110,8 +110,7 @@ def metrics_events_lower_bound(metrics):
 class TestShardedFleet:
     def test_serial_and_sharded_runs_digest_identically(self):
         _run1, _reports1, serial = run_fleet(SPEC, jobs=1)
-        _run2, _reports2, sharded = run_fleet(SPEC, jobs=2,
-                                              reuse_workers=False)
+        _run2, _reports2, sharded = run_fleet(SPEC, jobs=2)
         assert serial["digest"] == sharded["digest"]
         assert serial == sharded
 

@@ -9,12 +9,7 @@ import time
 
 import pytest
 
-from repro.runner import (
-    RunnerError,
-    ShardPlan,
-    WorkUnit,
-    execute,
-)
+from repro.runner import RunnerError, WorkUnit, execute
 
 
 def _identity(value):
@@ -86,16 +81,6 @@ class TestParallel:
         assert [r.ok for r in report.results] == [True, True, False, True]
         assert report.results[0].value == 0
 
-    def test_shard_grouping_respected(self):
-        plan = ShardPlan.chunked(
-            [WorkUnit.of(i, _identity, i) for i in range(6)], 2)
-        report = execute(plan, jobs=2)
-        assert report.values() == list(range(6))
-        # both units of a chunk ran in the same worker
-        workers = [r.worker for r in report.results]
-        assert workers[0] == workers[1] == workers[2]
-        assert workers[3] == workers[4] == workers[5]
-
 
 class TestFaultIsolation:
     def test_dead_worker_fails_only_its_shard(self):
@@ -133,15 +118,6 @@ class TestFaultIsolation:
         kinds = [kind for kind, _ in report.events]
         assert "shard-timeout" in kinds
 
-    def test_straggler_flagged_but_allowed_to_finish(self):
-        units = [WorkUnit.of(0, _identity, 0),
-                 WorkUnit.of(1, _sleep_then, 1, 0.5)]
-        report = execute(units, jobs=2, straggler_factor=2.0,
-                         straggler_min_s=0.2)
-        assert report.values() == [0, 1]
-        kinds = [kind for kind, _ in report.events]
-        assert "straggler-detected" in kinds
-
 
 class TestReport:
     def test_utilization_and_counters(self):
@@ -152,9 +128,3 @@ class TestReport:
         assert [c["key"] for c in counters] == ["0", "1", "2"]
         assert all(c["elapsed_s"] > 0 for c in counters)
         assert all(c["ok"] for c in counters)
-
-    def test_on_event_mirror(self):
-        seen = []
-        execute([WorkUnit.of(0, _hard_exit, 0)], jobs=2, retries=0,
-                on_event=lambda kind, details: seen.append(kind))
-        assert "worker-crashed" in seen

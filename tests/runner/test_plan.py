@@ -1,11 +1,12 @@
-"""Unit tests for shard planning and the canonical digest."""
+"""Unit tests for the work-unit list, its merge keys and the canonical
+digest."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro.common.errors import ReproError
-from repro.runner import ShardPlan, WorkUnit, canonical, digest
+from repro.runner import WorkUnit, canonical, digest, execute
 from repro.runner.merge import deterministic_digest, strip_timing
 
 
@@ -18,31 +19,19 @@ def _units(n):
 
 
 class TestShardPlan:
+    """The plan is the unit list itself: one dispatch per unit, results
+    in submission order, keys unique."""
+
     def test_single_puts_one_unit_per_shard(self):
-        plan = ShardPlan.single(_units(5))
-        assert len(plan) == 5
-        assert [s.keys for s in plan.shards] == [(i,) for i in range(5)]
-        assert plan.key_order == [0, 1, 2, 3, 4]
-
-    def test_interleaved_round_robins(self):
-        plan = ShardPlan.interleaved(_units(7), 3)
-        assert [s.keys for s in plan.shards] == [
-            (0, 3, 6), (1, 4), (2, 5)]
-        assert plan.key_order == list(range(7))
-
-    def test_chunked_keeps_contiguous_runs(self):
-        plan = ShardPlan.chunked(_units(7), 3)
-        assert [s.keys for s in plan.shards] == [
-            (0, 1, 2), (3, 4), (5, 6)]
-
-    def test_more_shards_than_units_collapses(self):
-        plan = ShardPlan.interleaved(_units(2), 8)
-        assert len(plan) == 2
+        report = execute(_units(5))
+        assert [s["shard"] for s in report.sharding["shards"]] == \
+            [0, 1, 2, 3, 4]
+        assert [r.key for r in report.results] == [0, 1, 2, 3, 4]
 
     def test_duplicate_keys_rejected(self):
         units = [WorkUnit.of(7, _noop, 1), WorkUnit.of(7, _noop, 2)]
         with pytest.raises(ReproError):
-            ShardPlan.single(units)
+            execute(units)
 
     def test_unit_kwargs_sorted_and_callable(self):
         unit = WorkUnit.of("k", dict, b=2, a=1)

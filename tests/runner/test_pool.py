@@ -1,25 +1,28 @@
 """Persistent worker pool: reuse, warm caches, equivalence, faults.
 
 The pool's contract is that it changes *wall-clock shape only*: the
-merged results are byte-identical to the serial run and to the fresh
-process-per-shard mode, while workers live across shards so the
-process-global keystream caches stay warm.  The worker functions live
-at module level so shards can run them under any start method.
+merged results are byte-identical to the serial run and to a serial
+run with every derived cache emptied before each unit, while workers
+live across units so the process-global keystream caches stay warm.
+The worker functions live at module level so units can run them under
+any start method.
 """
 
+import importlib
 import os
+import threading
 import time
 
 import pytest
 
-from repro.common import crypto
+from repro.common import crypto, state_registry
 from repro.runner import (
     RunnerError,
-    ShardPlan,
     WorkUnit,
     deterministic_digest,
     execute,
 )
+from repro.runner import executor
 
 
 def _pid(_key):
@@ -33,8 +36,28 @@ def _keystream_probe(seed):
     return word % (2 ** 61 - 1)
 
 
+def _reset_derived_caches():
+    """Empty every registered derived cache through its reset hook."""
+    hooks = {(entry.module, entry.reset)
+             for entry in state_registry.all_entries()
+             if entry.classification == "derived-cache"}
+    assert hooks, "the registry lists no derived cache"
+    for module, reset in sorted(hooks):
+        getattr(importlib.import_module(module), reset)()
+
+
+def _cold_keystream_probe(seed):
+    _reset_derived_caches()
+    assert crypto.keystream_cache_stats()["line_entries"] == 0
+    return _keystream_probe(seed)
+
+
 def _hard_exit(_key):
     os._exit(3)
+
+
+def _die_at_start(_conn):
+    os._exit(1)
 
 
 def _crash_once_then(value, sentinel_path):
@@ -62,35 +85,42 @@ class TestWorkerReuse:
         assert report.sharding["workers_spawned"] <= 2
         assert len(report.sharding["shards"]) == 6
 
-    def test_fresh_forks_per_shard(self):
-        report = execute(_units(4, _pid), jobs=2, reuse_workers=False)
-        assert len(set(report.values())) == 4       # one process per shard
-        assert report.sharding["mode"] == "fresh"
+    def test_jobs_covering_every_unit_gives_each_its_own_process(self):
+        # every worker is spawned holding a unit, so with as many jobs
+        # as units no unit shares a process (the cold-cache CI arm)
+        report = execute(_units(4, _pid), jobs=4)
+        assert len(set(report.values())) == 4
         assert report.sharding["workers_spawned"] == 4
+        assert len({r.worker for r in report.results}) == 4
 
     def test_pool_keeps_keystream_caches_warm(self):
-        # Every shard computes the same spans; under the pool, shards
+        # Every unit computes the same spans; under the pool, units
         # after a worker's first report zero line misses (warm cache),
-        # which is exactly what fresh processes cannot do.
-        plan = ShardPlan.chunked(
-            [WorkUnit.of(i, _keystream_probe, 7) for i in range(4)], 4)
-        pooled = execute(plan, jobs=1 + 1)
+        # which is exactly what a new process cannot do.
+        units = [WorkUnit.of(i, _keystream_probe, 7) for i in range(4)]
+        pooled = execute(units, jobs=2)
         misses = [s["keystream"]["line_misses"]
                   for s in pooled.sharding["shards"]]
-        assert 0 in misses                          # some shard ran warm
+        assert 0 in misses                          # some unit ran warm
         assert any(m > 0 for m in misses)           # the first ones filled
 
 
 class TestEquivalence:
     def test_serial_pool_fresh_values_identical(self):
-        units = lambda: _units(8)                   # noqa: E731
-        serial = execute(units(), jobs=1)
-        pooled = execute(units(), jobs=3)
-        fresh = execute(units(), jobs=3, reuse_workers=False)
+        # The "fresh" arm runs serially but empties every registered
+        # derived cache before each unit.  Seeds repeat, so the serial
+        # and pooled arms hit warm caches where the fresh arm cannot.
+        def units(fn):
+            return [WorkUnit.of(i, fn, i % 3) for i in range(8)]
+        serial = execute(units(_keystream_probe), jobs=1)
+        pooled = execute(units(_keystream_probe), jobs=3)
+        fresh = execute(units(_cold_keystream_probe), jobs=1)
         assert serial.values() == pooled.values() == fresh.values()
         assert deterministic_digest(serial.values()) \
             == deterministic_digest(pooled.values()) \
             == deterministic_digest(fresh.values())
+        assert any(s["keystream"]["line_misses"] == 0
+                   for s in serial.sharding["shards"])
 
     def test_sharding_is_excluded_from_deterministic_digest(self):
         report = execute(_units(3), jobs=2)
@@ -119,7 +149,7 @@ class TestShardingBreakdown:
         assert report.sharding["mode"] == "serial"
         assert report.sharding["workers_spawned"] == 0
         assert report.sharding["spawn_s"] == 0.0
-        assert len(report.sharding["shards"]) == 2  # one per unit-shard
+        assert len(report.sharding["shards"]) == 2  # one per unit
 
 
 class TestPoolFaults:
@@ -134,6 +164,26 @@ class TestPoolFaults:
         assert "worker-crashed" in kinds
         with pytest.raises(RunnerError):
             report.values()
+
+    def test_worker_dying_before_ready_is_charged_to_its_unit(
+            self, monkeypatch):
+        # Workers that die before they report ready must still use up
+        # the unit's retry budget; otherwise the pool respawns them
+        # forever and execute never returns.
+        monkeypatch.setattr(executor, "_pool_worker", _die_at_start)
+        reports = []
+        thread = threading.Thread(
+            target=lambda: reports.append(
+                execute(_units(1), jobs=2, retries=1)),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "execute never returned"
+        result = reports[0].results[0]
+        assert not result.ok
+        assert result.attempts == 2
+        assert "worker-crashed" in [kind for kind, _ in reports[0].events]
+        assert reports[0].sharding["workers_spawned"] == 2
 
     def test_pool_crash_then_success_on_retry(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
