@@ -23,28 +23,12 @@ from repro.eval.tables import (
 
 
 def io_path_shootout():
-    """AES-NI vs SEV-API vs software on the seq-read job."""
-    from repro import GuestOwner, System
-    from repro.core.io_protect import SoftwareIoEncoder
-    from repro.core.lifecycle import read_embedded_kblk
-    from repro.workloads.fio import FioRunner, TABLE3_SPECS
+    """AES-NI vs SEV-API vs software on the seq-read job (ablation A4)."""
+    from repro.eval.ablations import io_encoder_throughput
 
-    seq_read = next(s for s in TABLE3_SPECS if s.name == "seq-read")
     lines = ["I/O path shootout (seq-read, bytes per kilocycle):"]
-    for kind in ("aes-ni", "sev-api", "software"):
-        system = System.create(fidelius=True, frames=4096, seed=0x70E)
-        owner = GuestOwner(seed=0x70E)
-        domain, ctx = system.boot_protected_guest(
-            "fio", owner, payload=b"x", guest_frames=96)
-        if kind == "aes-ni":
-            encoder = system.aesni_encoder_for(ctx)
-        elif kind == "sev-api":
-            encoder = system.sev_encoder_for(domain, ctx, pages=16)
-        else:
-            encoder = SoftwareIoEncoder(read_embedded_kblk(ctx),
-                                        system.machine.cycles)
-        runner = FioRunner(system, domain, ctx, encoder=encoder, seed=0x70E)
-        lines.append("  %-9s %10.1f" % (kind, runner.throughput(seq_read)))
+    for kind, throughput in io_encoder_throughput().items():
+        lines.append("  %-9s %10.1f" % (kind, throughput))
     return "\n".join(lines)
 
 

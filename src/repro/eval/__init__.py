@@ -3,7 +3,8 @@ paper's Sections 6 and 7.
 
 Run ``python -m repro.eval all`` (or a single experiment id — see
 ``python -m repro.eval --help``).  The same entry points back the
-pytest-benchmark targets under ``benchmarks/``.
+shape tests under ``tests/eval/``, and ``python -m repro.eval report``
+prints every artefact, paper vs measured, plus the design ablations.
 """
 
 from repro.eval.macro import MacroResult, average_overheads, run_figure

@@ -9,6 +9,11 @@
     python -m repro.eval xsa          # §6.2 XSA analysis
     python -m repro.eval attacks      # §6 attack matrix
     python -m repro.eval tables12     # Tables 1 & 2, observed
+    python -m repro.eval sensitivity  # calibration-constant sweeps
+    python -m repro.eval report       # Markdown, paper vs measured,
+                                      # with the ablations A1-A5
+    python -m repro.eval functional   # measured-vs-modelled cross-check
+    python -m repro.eval export       # JSON + CSV into ./eval-output
     python -m repro.eval all
 """
 

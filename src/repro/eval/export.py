@@ -1,8 +1,9 @@
 """Machine-readable exports of every experiment (JSON and CSV).
 
-``python -m repro.eval export <directory>`` writes one file per
-artefact so external plotting pipelines (gnuplot, pandas, a spreadsheet)
-can regenerate the paper's figures from the measured data.
+``python -m repro.eval export`` writes one file per artefact into
+``./eval-output`` so external plotting pipelines (gnuplot, pandas, a
+spreadsheet) can regenerate the paper's figures from the measured data;
+``export_all(directory)`` writes them anywhere else.
 """
 
 import csv

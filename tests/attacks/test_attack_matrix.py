@@ -73,3 +73,11 @@ class TestAttackRegistry:
 
     def test_expected_count(self):
         assert len(ALL_ATTACKS) == 28
+
+    def test_fidelius_leaves_open_only_what_the_paper_concedes(self):
+        """Section 8 concedes DMA replay and Rowhammer to hardware;
+        ``TestAttackMatrix`` ties these flags to observed behaviour."""
+        open_under_fidelius = {fn.attack_name for fn in ALL_ATTACKS
+                               if not fn.fidelius_blocks}
+        assert open_under_fidelius == {"dma-ciphertext-replay",
+                                       "rowhammer-bit-flip"}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.eval.export import (
     table3_rows,
     to_csv,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 class TestRowProducers:
@@ -53,3 +57,9 @@ class TestExportAll:
         assert any(row["benchmark"] == "mcf" for row in fig5)
         table3 = (tmp_path / "table3.csv").read_text()
         assert "seq-read" in table3
+        # e2ebench's paper_figures checks its rows against the committed
+        # eval-output/; regenerate it with ``python -m repro.eval export``
+        for path in written:
+            name = os.path.basename(path)
+            with open(os.path.join(REPO_ROOT, "eval-output", name)) as handle:
+                assert handle.read() == (tmp_path / name).read_text(), name

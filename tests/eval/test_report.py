@@ -1,8 +1,13 @@
 """Tests for the one-shot reproduction report."""
 
+import os
+
 import pytest
 
 from repro.eval.report import generate_report
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +18,7 @@ def report():
 class TestReport:
     def test_contains_all_sections(self, report):
         for heading in ("Figure 5", "Figure 6", "Table 3",
-                        "Micro benchmarks", "XSA analysis",
+                        "Micro benchmarks", "Ablations", "XSA analysis",
                         "Shape verdicts"):
             assert heading in report
 
@@ -28,3 +33,8 @@ class TestReport:
 
     def test_is_markdown_table_formatted(self, report):
         assert report.count("|---|") >= 4
+
+    def test_committed_copy_is_current(self, report):
+        """Regenerate with ``python -m repro.eval report > docs/REPORT.md``."""
+        with open(os.path.join(REPO_ROOT, "docs", "REPORT.md")) as handle:
+            assert handle.read() == report + "\n"

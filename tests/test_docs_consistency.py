@@ -18,36 +18,48 @@ def _read(*parts):
         return handle.read()
 
 
+def _modules(text):
+    return set(re.findall(r"`(repro(?:\.\w+)+)`", text))
+
+
+def _unresolved(text):
+    """The ``repro.*`` names in ``text`` that name nothing: each is the
+    longest importable module prefix followed by attributes, as in
+    ``repro.core.lifecycle.GuestOwner``."""
+    unresolved = []
+    for dotted in sorted(_modules(text)):
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                continue
+        for attribute in parts[cut:]:
+            target = getattr(target, attribute, None)
+        if target is None:
+            unresolved.append(dotted)
+    return unresolved
+
+
+def _missing_test_files(text):
+    files = set(re.findall(r"`(tests/[\w/]+\.py)", text))
+    assert files
+    return [path for path in sorted(files)
+            if not os.path.exists(os.path.join(ROOT, path))]
+
+
 class TestPaperMap:
     @pytest.fixture(scope="class")
     def paper_map(self):
         return _read("docs", "paper_map.md")
 
     def test_every_referenced_module_imports(self, paper_map):
-        modules = set(re.findall(r"`(repro(?:\.\w+)+)`", paper_map))
-        assert len(modules) > 15
-        for dotted in sorted(modules):
-            # strip attribute references like repro.core.lifecycle.GuestOwner
-            parts = dotted.split(".")
-            for cut in range(len(parts), 1, -1):
-                try:
-                    importlib.import_module(".".join(parts[:cut]))
-                    break
-                except ImportError:
-                    continue
-            else:
-                pytest.fail("paper_map references unimportable %s" % dotted)
+        assert len(_modules(paper_map)) > 15
+        assert _unresolved(paper_map) == []
 
     def test_every_referenced_test_file_exists(self, paper_map):
-        files = set(re.findall(r"`(tests/[\w/]+\.py)", paper_map))
-        assert files
-        for path in sorted(files):
-            assert os.path.exists(os.path.join(ROOT, path)), path
-
-    def test_every_referenced_benchmark_exists(self, paper_map):
-        files = set(re.findall(r"`(benchmarks/[\w/]+\.py)", paper_map))
-        for path in sorted(files):
-            assert os.path.exists(os.path.join(ROOT, path)), path
+        assert _missing_test_files(paper_map) == []
 
 
 class TestDesignDoc:
@@ -63,10 +75,13 @@ class TestDesignDoc:
         for command in re.findall(r"python -m repro\.eval (\S+)`", design):
             assert command in COMMANDS, command
 
-    def test_benchmark_targets_exist(self):
+    def test_every_referenced_module_imports(self):
         design = _read("DESIGN.md")
-        for path in set(re.findall(r"`(benchmarks/[\w/]+\.py)`", design)):
-            assert os.path.exists(os.path.join(ROOT, path)), path
+        assert len(_modules(design)) > 15
+        assert _unresolved(design) == []
+
+    def test_every_referenced_test_file_exists(self):
+        assert _missing_test_files(_read("DESIGN.md")) == []
 
 
 class TestReadme:
