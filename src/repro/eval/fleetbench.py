@@ -9,25 +9,28 @@ wave with recovery, rolling fleet-wide key rotation, shutdown churn —
 and at what events/second and peak RSS.
 
 ``python -m repro.eval.fleetbench --profile full --json`` writes
-``BENCH_fleet.json`` (schema ``fidelius-fleetbench/1``).  The report
-splits cleanly along the determinism contract:
+``BENCH_fleet.json`` (schema ``fidelius-fleetbench/1``).  The model
+charges its operations in simulated cycles from one fixed table
+(:attr:`~repro.fleet.model.FleetModel.CYCLES`, the report's ``costs``);
+every run also drives the 3-host lockstep differential against the real
+``Cloud``, which holds each charge equal to the real hosts' cycle
+delta.  The report splits cleanly along the determinism contract:
 
-* everything *modelled* — the scenario spec, the calibrated cost table,
+* everything *modelled* — the scenario spec, the cycle table,
   per-region outcomes, fleet totals, the cross-region state digest, and
-  the 3-host lockstep differential against the real ``Cloud`` — is
-  byte-identical across ``--jobs`` settings and machines
-  (:func:`deterministic_digest` is the comparison key CI holds serial
-  and sharded runs to);
+  the lockstep's outcome — is byte-identical across ``--jobs`` settings
+  and machines (:func:`deterministic_digest` is the comparison key CI
+  holds serial and sharded runs to);
 * everything *measured* — wall seconds, events/second, peak RSS, the
   executor breakdown — lives in the ``sharding`` section, which
   :func:`repro.runner.merge.strip_timing` removes before digesting.
 
 ``--check`` exits non-zero when the profile's wall-clock or RSS target
-is missed, so the CI smoke job is a real gate, not a plot.
+is missed or the lockstep diverged, so the CI smoke job is a real gate,
+not a plot.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import resource
@@ -37,7 +40,7 @@ import sys
 # quantity comes from the virtual clock and the seeded RNGs.
 import time
 
-from repro.fleet import ScenarioSpec, load_cost_table, run_fleet
+from repro.fleet import FleetModel, ScenarioSpec, run_fleet
 from repro.fleet.lockstep import run_lockstep
 from repro.runner import add_jobs_argument
 from repro.runner import merge as runner_merge
@@ -95,26 +98,24 @@ def _spec_dict(spec):
     }
 
 
-def run_profile(profile, jobs=1, costs=None, lockstep=True):
+def run_profile(profile, jobs=1):
     """Run one named profile end to end and assemble the report."""
     try:
         spec = PROFILES[profile]
     except KeyError:
         raise ValueError("unknown profile %r (have: %s)"
                          % (profile, ", ".join(sorted(PROFILES))))
-    if costs is not None:
-        spec = dataclasses.replace(spec, costs=costs)
     started = time.perf_counter()
     run_report, regions, summary = run_fleet(spec, jobs=jobs)
     wall_s = time.perf_counter() - started
-    lockstep_result = run_lockstep().asdict() if lockstep else None
     max_wall, max_rss = TARGETS[profile]
     pool = run_report.sharding
     return {
         "schema": SCHEMA,
         "profile": profile,
         "spec": _spec_dict(spec),
-        "costs": spec.costs.asdict(),
+        "costs": {kind: list(pair)
+                  for kind, pair in FleetModel.CYCLES.items()},
         "fleet": summary,
         "regions": [
             {"region": r.region, "hosts": r.hosts, "events": r.events,
@@ -122,7 +123,7 @@ def run_profile(profile, jobs=1, costs=None, lockstep=True):
              "digest": r.digest}
             for r in regions
         ],
-        "lockstep": lockstep_result,
+        "lockstep": run_lockstep().asdict(),
         "targets": {"max_wall_s": max_wall, "max_rss_mib": max_rss},
         "sharding": {
             "jobs": run_report.jobs,
@@ -158,7 +159,7 @@ def check_targets(report):
                         % (sharding["peak_rss_mib"],
                            targets["max_rss_mib"]))
     lockstep = report["lockstep"]
-    if lockstep is not None and not lockstep["ok"]:
+    if not lockstep["ok"]:
         problems.append("lockstep differential diverged: %s"
                         % "; ".join(lockstep["mismatches"]))
     return problems
@@ -178,13 +179,11 @@ def format_report(report):
         "jobs=%d" % (sharding["wall_s"], sharding["events_per_s"],
                      sharding["peak_rss_mib"], sharding["jobs"]),
         "  digest: %s" % fleet["digest"],
+        "  lockstep vs real Cloud: %s (%d launches, %d migrations)" % (
+            "OK" if report["lockstep"]["ok"] else "DIVERGED",
+            report["lockstep"]["launches"],
+            report["lockstep"]["migrations"]),
     ]
-    if report["lockstep"] is not None:
-        lines.append("  lockstep vs real Cloud: %s (%d launches, "
-                     "%d migrations)" % (
-                         "OK" if report["lockstep"]["ok"] else "DIVERGED",
-                         report["lockstep"]["launches"],
-                         report["lockstep"]["migrations"]))
     problems = check_targets(report)
     lines.append("  targets: %s"
                  % ("PASS" if not problems else "; ".join(problems)))
@@ -203,20 +202,12 @@ def main(argv=None):
                         help="write %s and print the JSON" % DEFAULT_OUTPUT)
     parser.add_argument("--out", default=DEFAULT_OUTPUT,
                         help="output path for --json (default %(default)s)")
-    parser.add_argument("--costs", default=None, metavar="BENCH_JSON",
-                        help="calibrate the cost table from a perfbench "
-                             "artifact (default: built-in calibration)")
-    parser.add_argument("--no-lockstep", action="store_true",
-                        help="skip the 3-host differential against the "
-                             "real Cloud")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero if a wall/RSS target is "
                              "missed or the lockstep diverged")
     add_jobs_argument(parser)
     args = parser.parse_args(argv)
-    costs = load_cost_table(args.costs) if args.costs else None
-    report = run_profile(args.profile, jobs=args.jobs, costs=costs,
-                         lockstep=not args.no_lockstep)
+    report = run_profile(args.profile, jobs=args.jobs)
     if args.json:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -7,10 +7,10 @@ The cloud's are *faithful*: every host carries a full
 :class:`~repro.hw.machine.Machine` with DRAM frames, firmware and
 hypervisor state, so a 10k-host fleet is memory-infeasible before it is
 slow.  The model's trade that fidelity for scale along one explicit
-axis: hosts and guests are lightweight records, and attest, boot, move
-and destroy charge calibrated per-op costs (:mod:`repro.fleet.costs`,
-sampled from ``BENCH_simulator.json``) instead of executing the full
-datapath.  Two escape hatches keep the model honest:
+axis: hosts and guests are lightweight records, and boot, move, destroy
+and key rotation charge a fixed table of simulated cycles
+(:attr:`FleetModel.CYCLES`) instead of executing the full datapath.
+Two escape hatches keep the model honest:
 
 * **lazy hydration** (:meth:`FleetModel.hydrate`): any single host can
   be materialized into a real :class:`~repro.system.System` with its
@@ -18,7 +18,9 @@ datapath.  Two escape hatches keep the model honest:
   reproductions still run against the faithful simulator;
 * **lockstep differential** (:mod:`repro.fleet.lockstep`): the same
   plane methods are called on a 3-host model and a real ``Cloud``,
-  comparing placements, inventories and quarantine outcomes.
+  comparing placements, inventories, quarantine outcomes and each
+  step's cycles: the model's charge against the real hosts'
+  ``CycleCounter`` delta.
 
 Determinism is the same contract as everywhere else in the tree: one
 seed fixes the event order (the :class:`EventQueue`'s tie-break RNG),
@@ -27,7 +29,6 @@ through :mod:`repro.runner` with the merged digest byte-identical to a
 serial run.
 """
 
-from repro.fleet.costs import CostTable, load_cost_table
 from repro.fleet.events import Event, EventQueue, FleetError
 from repro.fleet.lockstep import LockstepReport, run_lockstep
 from repro.fleet.model import FleetModel, GuestRecord
@@ -41,7 +42,6 @@ from repro.fleet.scenarios import (
 )
 
 __all__ = [
-    "CostTable",
     "Event",
     "EventQueue",
     "FleetError",
@@ -51,7 +51,6 @@ __all__ = [
     "RegionReport",
     "ScenarioSpec",
     "drive_region",
-    "load_cost_table",
     "region_specs",
     "run_fleet",
     "run_lockstep",

@@ -9,8 +9,13 @@ small real ``Cloud`` (every host a full Fidelius
 policy-chosen migrations, a tampered host, post-quarantine placements,
 shutdowns — calling the same plane method on both sides at every step.
 It compares what the hooks can make differ: the host each call lands
-on (or its refusal), the inventories and the quarantine sets.  Any
-divergence is a recorded mismatch, and CI fails on a non-empty list.
+on (or its refusal), the inventories, the quarantine sets, and the
+cycles the step cost — the real hosts' summed
+:class:`~repro.hw.cycles.CycleCounter` delta against the model's charge
+from :attr:`FleetModel.CYCLES <repro.fleet.model.FleetModel.CYCLES>`.
+Guests launch at two sizes in turn, because one size cannot tell a
+charge's fixed term from its per-frame term.  Any divergence is a
+recorded mismatch, and CI fails on a non-empty list.
 
 The one asymmetry is the point: the script tampers a host's hypervisor
 text on the cloud side and lets remote attestation catch it on the
@@ -26,8 +31,9 @@ from repro.common.errors import ReproError
 from repro.fleet.model import FleetModel
 from repro.system import GuestOwner
 
-#: guest footprint used on both sides (real frames == modelled frames)
-GUEST_FRAMES = 48
+#: guest footprints, launched in turn on both sides (real frames ==
+#: modelled frames)
+GUEST_FRAMES = (16, 48)
 
 
 @dataclass
@@ -89,22 +95,34 @@ class _Differential:
             self._mismatch("quarantine set after %s" % when, cloud_q,
                            model_q)
 
-    def step(self, method, name, **boot):
-        """Call plane ``method`` for guest ``name`` on both sides and
-        compare where the guest ends up; ``boot`` (the tenant's owner
-        and payload) goes to the cloud's boot hook only."""
-        args = (name, GUEST_FRAMES) if method == "launch" else (name,)
+    def _cycles(self):
+        """Both sides' cycle totals: the real hosts' summed counters,
+        and the model's charges."""
+        return (sum(host.machine.cycles.total for host in self.cloud.hosts),
+                self.model.metrics["busy_cycles"])
+
+    def step(self, method, name, *args, **boot):
+        """Call plane ``method`` with ``(name, *args)`` on both sides and
+        compare where the guest ends up and what the call cost; ``boot``
+        (the tenant's owner and payload) goes to the cloud's boot hook
+        only."""
+        before = self._cycles()
         outcomes = []
         for plane, extra in ((self.cloud, boot), (self.model, {})):
             try:
-                outcomes.append(getattr(plane, method)(*args, **extra).host)
+                outcomes.append(
+                    getattr(plane, method)(name, *args, **extra).host)
             except ReproError as exc:
                 outcomes.append("refused: %s" % exc)
+        spent = [after - start
+                 for after, start in zip(self._cycles(), before)]
         counter = {"launch": "launches", "migrate": "migrations",
                    "shutdown": "shutdowns"}[method]
         setattr(self.report, counter, getattr(self.report, counter) + 1)
         if outcomes[0] != outcomes[1]:
             self._mismatch("%s of %s" % (method, name), *outcomes)
+        if spent[0] != spent[1]:
+            self._mismatch("cycles of %s %s" % (method, name), *spent)
         self.check_inventories("%s %s" % (method, name))
 
     def tamper(self, index):
@@ -133,7 +151,8 @@ def run_lockstep(seed=0xC10D, hosts=3, tenants=6, churn=6, frames=4096):
     names = ["ls-t%03d" % i for i in range(tenants)]
 
     def launch(name, owner_seed):
-        diff.step("launch", name, owner=GuestOwner(seed=owner_seed),
+        size = GUEST_FRAMES[diff.report.launches % len(GUEST_FRAMES)]
+        diff.step("launch", name, size, owner=GuestOwner(seed=owner_seed),
                   payload=b"LOCKSTEP|" + name.encode())
 
     for i, name in enumerate(names):

@@ -3,8 +3,11 @@
 A :class:`FleetModel` runs the :class:`~repro.cloud.plane.ControlPlane`
 that :class:`~repro.cloud.Cloud` runs, but its attest, boot, move and
 destroy hooks touch no DRAM frames, firmware or hypervisor: each
-*charges* its calibrated cost (:mod:`repro.fleet.costs`) to the virtual
-clock.  What only the model has lives here: host failure (restart or
+*charges* the simulated cycles the real stack's
+:class:`~repro.hw.cycles.CycleCounter` would have counted for it
+(:attr:`FleetModel.CYCLES`) to ``metrics["busy_cycles"]``.  Charges never
+move the virtual clock, which follows the scenario's arrival schedule.
+What only the model has lives here: host failure (restart or
 LOST), recovery, retirement, rolling key rotation, scale-up, event
 dispatch, the state digest and hydration.  10k hosts and 50k guests fit
 in tens of megabytes; ``BENCH_fleet.json`` holds the trajectory.
@@ -17,7 +20,8 @@ Honesty mechanisms:
   attack reproductions can spot-check the model against the faithful
   simulator at any point in a scenario;
 * the 3-host lockstep differential (:mod:`repro.fleet.lockstep`) calls
-  the same plane methods on this model and a real ``Cloud``.
+  the same plane methods on this model and a real ``Cloud``, and holds
+  every step's charge equal to the real hosts' cycle delta.
 
 Determinism: one seed fixes the event queue's tie-breaks and the
 model RNG; all iteration is over insertion-ordered dicts or sorted
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 
 from repro.cloud import ControlPlane, FleetError
 from repro.cloud.plane import FAILED, QUARANTINED, RETIRED, UP
-from repro.fleet.costs import CostTable
 from repro.fleet.events import EventQueue
 from repro.runner.merge import digest
 from repro.system import GuestOwner, System
@@ -61,17 +64,30 @@ class GuestRecord:
 class FleetModel(ControlPlane):
     """A seeded, deterministic fleet of host/guest records."""
 
-    def __init__(self, hosts, host_frames=256, seed=0, policy="spread",
-                 costs=None):
+    #: simulated cycles per operation as ``(fixed, per guest frame)``,
+    #: read off the real stack's CycleCounter: boot is ``launch_tenant``
+    #: (a restart too), migrate is ``migrate_tenant`` over source and
+    #: target, rotate is ``snapshot_guest`` + ``destroy_domain`` +
+    #: ``restore_guest`` on one host, shutdown is ``shutdown_tenant``.
+    #: Attestation is free, as the quote engine charges no cycles.  The
+    #: lockstep checks every charge but rotation's, which no plane
+    #: method performs on a real guest; class-level constant
+    CYCLES = {
+        "boot": (4_776, 476),
+        "migrate": (5_535, 1_628),
+        "rotate": (5_535, 1_628),
+        "shutdown": (1_318, 128),
+    }
+
+    def __init__(self, hosts, host_frames=256, seed=0, policy="spread"):
         super().__init__(host_frames,
                          [(seed << 8) + index for index in range(hosts)],
                          policy, EVENT_LOG_LIMIT)
-        self.costs = costs if costs is not None else CostTable()
         self.queue = EventQueue(seed)
         self.rng = random.Random((seed << 4) ^ 0xF1EE7)
         self.seed = seed
         self.metrics = {
-            "attests": 0, "busy_ns": 0, "evacuated": 0, "failures": 0,
+            "attests": 0, "busy_cycles": 0, "evacuated": 0, "failures": 0,
             "launches": 0, "lost_guests": 0, "migrations": 0,
             "recoveries": 0, "rejected": 0, "restarts": 0,
             "retired": 0, "rotated_guests": 0, "rotations": 0,
@@ -84,19 +100,19 @@ class FleetModel(ControlPlane):
         """The host records (a model host *is* its record)."""
         return self.host_records
 
-    def _charge(self, ns, _reason):
-        self.metrics["busy_ns"] += ns
+    def _charge(self, kind, frames):
+        fixed, per_frame = self.CYCLES[kind]
+        self.metrics["busy_cycles"] += fixed + per_frame * frames
 
-    # -- hooks: calibrated charges ---------------------------------------------
+    # -- hooks: cycle charges --------------------------------------------------
 
     def _attest(self, index):
         self.metrics["attests"] += 1
-        self._charge(self.costs.attest_ns, "attest")
         return None
 
     def _boot(self, name, index, frames, tags):
         self.metrics["launches"] += 1
-        self._charge(self.costs.boot_ns(frames), "boot")
+        self._charge("boot", frames)
         return GuestRecord(name=name, host=index, frames=frames,
                            tags=tuple(tags),
                            key_epoch=self.host_records[index].key_epoch)
@@ -105,11 +121,11 @@ class FleetModel(ControlPlane):
         guest.key_epoch = self.host_records[index].key_epoch
         guest.migrations += 1
         self.metrics["migrations"] += 1
-        self._charge(self.costs.migrate_ns(guest.frames), "migrate")
+        self._charge("migrate", guest.frames)
 
     def _destroy(self, guest):
         self.metrics["shutdowns"] += 1
-        self._charge(self.costs.shutdown_ns(guest.frames), "shutdown")
+        self._charge("shutdown", guest.frames)
 
     # -- host lifecycle --------------------------------------------------------
 
@@ -140,7 +156,7 @@ class FleetModel(ControlPlane):
             self._place(guest, self.host_records[target])
             guest.restarts += 1
             self.metrics["restarts"] += 1
-            self._charge(self.costs.boot_ns(guest.frames), "restart")
+            self._charge("boot", guest.frames)
         host.free_frames = host.frames
 
     def recover_host(self, index):
@@ -188,7 +204,7 @@ class FleetModel(ControlPlane):
         for name, frames in host.guests.items():
             self.guests[name].key_epoch = host.key_epoch
             self.metrics["rotated_guests"] += 1
-            self._charge(self.costs.rotate_ns(frames), "rotate")
+            self._charge("rotate", frames)
         self._record("host-rotated", host=index, guests=len(host.guests))
         return len(host.guests)
 

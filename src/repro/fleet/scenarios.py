@@ -26,9 +26,8 @@ a same-instant collision) are independently reproducible.
 
 import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.fleet.costs import CostTable
 from repro.fleet.events import Event
 from repro.fleet.model import FleetModel
 from repro.runner import WorkUnit, execute
@@ -61,7 +60,6 @@ class ScenarioSpec:
     rotate: bool = False
     autoscale_hosts: int = 0
     churn_shutdowns: int = 0
-    costs: CostTable = field(default_factory=CostTable)
 
 
 @dataclass
@@ -189,8 +187,7 @@ def _correlated_hosts(spec, rng):
 def build_region(spec):
     """A populated, scheduled (but not yet run) region model."""
     model = FleetModel(hosts=spec.hosts, host_frames=spec.host_frames,
-                       seed=spec.seed, policy=spec.policy,
-                       costs=spec.costs)
+                       seed=spec.seed, policy=spec.policy)
     schedule_scenario(model, spec)
     return model
 

@@ -5,22 +5,33 @@ are noisy.  What must never be flaky is the report schema, the
 deterministic-digest contract (serial and sharded runs agree byte for
 byte once the measured ``sharding`` section is stripped), and the
 ``--check`` gate's ability to actually fail.
+
+Every report runs the smoke campaign and the lockstep differential, so
+the module builds one serial and one ``--jobs 2`` report; a test that
+changes a report changes a deep copy.
 """
 
+import copy
 import json
 
+import pytest
+
 from repro.eval import fleetbench
-from repro.fleet import load_cost_table
+from repro.fleet import FleetModel
 
 
-def _report(**kwargs):
-    kwargs.setdefault("lockstep", False)
-    return fleetbench.run_profile("smoke", **kwargs)
+@pytest.fixture(scope="module")
+def report():
+    return fleetbench.run_profile("smoke")
+
+
+@pytest.fixture(scope="module")
+def sharded_report():
+    return fleetbench.run_profile("smoke", jobs=2)
 
 
 class TestReportSchema:
-    def test_smoke_profile_schema(self):
-        report = _report()
+    def test_smoke_profile_schema(self, report):
         assert report["schema"] == fleetbench.SCHEMA
         assert report["profile"] == "smoke"
         spec = report["spec"]
@@ -28,9 +39,10 @@ class TestReportSchema:
         fleet = report["fleet"]
         assert fleet["hosts"] >= spec["hosts"]     # autoscale adds some
         assert fleet["events"] > spec["guests"]
+        assert fleet["metrics"]["busy_cycles"] == 83_036_119
         assert fleet["digest"]
         assert len(report["regions"]) == spec["regions"]
-        assert report["costs"]["source"] == "default"
+        assert report["lockstep"]["ok"] is True, report["lockstep"]
         sharding = report["sharding"]
         assert sharding["jobs"] == 1
         assert sharding["wall_s"] > 0
@@ -44,31 +56,23 @@ class TestReportSchema:
         except ValueError as exc:
             assert "smoke" in str(exc)
 
-    def test_calibrated_costs_ride_into_the_report(self, tmp_path):
-        bench = {"benchmarks": {
-            "enc_rw_mix": {"ops": 1000, "optimized_s": 0.02},
-            "walker_tlb": {"per_translation_us": 5.0},
-            "guest_macro": {"rounds": 4, "optimized_s": 0.012},
-        }}
-        path = tmp_path / "BENCH_simulator.json"
-        path.write_text(json.dumps(bench))
-        report = _report(costs=load_cost_table(str(path)))
-        assert report["costs"]["source"] == "bench"
-        assert report["costs"]["line_op_ns"] == 20_000
-        assert report["costs"]["translation_ns"] == 5_000
+    def test_cycle_table_rides_into_the_report(self, report):
+        # as JSON lists, so a written artifact compares equal to it
+        assert report["costs"] == {kind: list(pair) for kind, pair
+                                   in FleetModel.CYCLES.items()}
 
 
 class TestDeterministicDigest:
-    def test_serial_and_sharded_digests_agree(self):
-        serial = _report(jobs=1)
-        sharded = _report(jobs=2)
-        assert fleetbench.deterministic_digest(serial) == \
-            fleetbench.deterministic_digest(sharded)
+    def test_serial_and_sharded_digests_agree(self, report,
+                                              sharded_report):
+        assert fleetbench.deterministic_digest(report) == \
+            fleetbench.deterministic_digest(sharded_report)
         # ...even though the measured section genuinely differs
-        assert serial["sharding"]["jobs"] != sharded["sharding"]["jobs"]
+        assert report["sharding"]["jobs"] != \
+            sharded_report["sharding"]["jobs"]
 
-    def test_digest_ignores_measured_but_not_modelled_values(self):
-        report = _report()
+    def test_digest_ignores_measured_but_not_modelled_values(self, report):
+        report = copy.deepcopy(report)
         before = fleetbench.deterministic_digest(report)
         report["sharding"]["wall_s"] *= 100
         assert fleetbench.deterministic_digest(report) == before
@@ -77,13 +81,12 @@ class TestDeterministicDigest:
 
 
 class TestCheckGate:
-    def test_passing_report_has_no_problems(self):
-        report = _report()
+    def test_passing_report_has_no_problems(self, report):
         assert fleetbench.check_targets(report) == []
         assert "PASS" in fleetbench.format_report(report)
 
-    def test_wall_and_rss_misses_are_reported(self):
-        report = _report()
+    def test_wall_and_rss_misses_are_reported(self, report):
+        report = copy.deepcopy(report)
         report["sharding"]["wall_s"] = report["targets"]["max_wall_s"] + 1
         report["sharding"]["peak_rss_mib"] = \
             report["targets"]["max_rss_mib"] + 1
@@ -92,27 +95,45 @@ class TestCheckGate:
         assert any("wall" in p for p in problems)
         assert any("RSS" in p for p in problems)
 
-    def test_lockstep_divergence_fails_the_gate(self):
-        report = _report()
-        report["lockstep"] = {"ok": False,
-                              "mismatches": ["placement of x"]}
+    def test_lockstep_divergence_fails_the_gate(self, report):
+        report = copy.deepcopy(report)
+        report["lockstep"].update(ok=False,
+                                  mismatches=["placement of x"])
         problems = fleetbench.check_targets(report)
         assert any("lockstep" in p for p in problems)
+        assert "DIVERGED" in fleetbench.format_report(report)
 
 
 class TestCli:
-    def test_json_artifact_round_trips(self, tmp_path, capsys):
+    """``main`` over the module's report: argument handling and output,
+    without running the campaign again."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch, report):
+        calls = []
+
+        def run_profile(profile, jobs=1):
+            calls.append((profile, jobs))
+            return copy.deepcopy(report)
+
+        monkeypatch.setattr(fleetbench, "run_profile", run_profile)
+        return calls
+
+    def test_json_artifact_round_trips(self, runs, tmp_path, capsys):
         out = tmp_path / "BENCH_fleet.json"
-        rc = fleetbench.main(["--profile", "smoke", "--no-lockstep",
-                              "--json", "--out", str(out), "--check"])
+        rc = fleetbench.main(["--profile", "smoke", "--json", "--out",
+                              str(out), "--check"])
         assert rc == 0
+        assert runs == [("smoke", 1)]
         written = json.loads(out.read_text())
         assert written["schema"] == fleetbench.SCHEMA
         assert written == json.loads(capsys.readouterr().out)
 
-    def test_human_output_mentions_the_fleet(self, capsys):
-        rc = fleetbench.main(["--profile", "smoke", "--no-lockstep"])
+    def test_human_output_mentions_the_fleet(self, runs, capsys):
+        rc = fleetbench.main(["--profile", "smoke", "--jobs", "2"])
         assert rc == 0
+        assert runs == [("smoke", 2)]
         text = capsys.readouterr().out
         assert "Fleet benchmark (smoke profile)" in text
         assert "digest:" in text
+        assert "lockstep vs real Cloud: OK" in text

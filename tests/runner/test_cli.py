@@ -14,8 +14,7 @@ CLIS = {
     "repro.eval": (eval_cli.main, ["xsa"]),
     "repro.eval.perfbench": (perfbench.main,
                              ["--quick", "--only", "keystream"]),
-    "repro.eval.fleetbench": (fleetbench.main,
-                              ["--profile", "smoke", "--no-lockstep"]),
+    "repro.eval.fleetbench": (fleetbench.main, ["--profile", "smoke"]),
     "repro.faults.soak": (soak.main, ["--seeds", "0"]),
 }
 
