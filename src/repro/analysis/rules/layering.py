@@ -40,11 +40,11 @@ LAYERS = {
     "eval": 8,
     # The serializer sits beside eval: it sees whole systems and clouds
     # (layer 7 and below) but neither imports eval nor is imported by
-    # it; faults sits above so the chaos soak can checkpoint itself.
+    # it; faults sits above so the chaos soak can save its progress.
     "checkpoint": 8,
     # The chaos subsystem sits above everything it arms (it drives the
-    # whole fleet plus the eval checks); FID009 separately guarantees
-    # nothing imports it back.
+    # whole fleet plus the eval checks), so its bisector calls the soak
+    # directly; FID009 separately guarantees nothing imports it back.
     "faults": 9,
     # fidelint is tooling *over* the whole tree, imported by nothing in
     # src; it sits on top so it may reuse the runner for --jobs without

@@ -1,6 +1,6 @@
 """Deterministic checkpoint/restore for whole simulated machines.
 
-ROADMAP item 5: serialize full :class:`~repro.hw.machine.Machine` /
+Serialize full :class:`~repro.hw.machine.Machine` /
 :class:`~repro.cloud.Cloud` state — DRAM pages, per-ASID keys, VMCBs,
 page tables, TLB and cache contents, cycle ledgers, Fidelius metadata —
 into a content-addressed chunk store, and restore it bit-for-bit.
@@ -13,15 +13,12 @@ The package splits into three modules:
 * :mod:`repro.checkpoint.snapshot` — ``snapshot()`` / ``restore()``
   over live object graphs, with the ``fidelius-checkpoint/1`` manifest
   format and its fail-closed format-version and state-registry guards;
-* :mod:`repro.checkpoint.bisect` — time-travel bisection of fault
-  schedules: replay a failing seed from the nearest checkpoint and
-  binary-search the fault-event window down to a minimal repro.
+* :mod:`repro.checkpoint.oracle` — the restore-equivalence oracle: a
+  restored clone driven in lockstep with the original fleet.
 
-Layering: the package sits beside ``repro.eval`` (layer 7) — above the
-fleet it serializes, below ``repro.faults`` so the chaos soak can
-checkpoint itself mid-run.  The bisect engine reaches the soak only
-through an ``importlib`` entry point supplied by its caller, never by
-importing upward.
+Layering: the package sits beside ``repro.eval`` (layer 8) — above the
+fleet it serializes, below ``repro.faults`` so the chaos soak can save
+its progress between seeds.
 """
 
 from repro.checkpoint.store import (

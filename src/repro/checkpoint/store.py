@@ -83,11 +83,9 @@ class ChunkStore:
         self.root = root
         self._objects = os.path.join(root, "objects")
         os.makedirs(self._objects, exist_ok=True)
-        #: dedup/size tallies for ``BENCH_checkpoint.json``
+        #: dedup tallies (the restore-equivalence oracle reports them)
         self.chunks_written = 0
-        self.bytes_written = 0
         self.chunks_deduped = 0
-        self.bytes_deduped = 0
 
     def _path(self, digest):
         return os.path.join(self._objects, digest[:2], digest)
@@ -99,12 +97,10 @@ class ChunkStore:
         path = self._path(digest)
         if os.path.exists(path):
             self.chunks_deduped += 1
-            self.bytes_deduped += len(data)
             return digest
         os.makedirs(os.path.dirname(path), exist_ok=True)
         atomic_write(path, data)
         self.chunks_written += 1
-        self.bytes_written += len(data)
         return digest
 
     def has(self, digest):
@@ -121,15 +117,6 @@ class ChunkStore:
             raise CheckpointError("corrupt chunk %s" % digest)
         return data
 
-    def stats(self):
-        """JSON-able dedup counters for bench artifacts."""
-        return {
-            "chunks_written": self.chunks_written,
-            "bytes_written": self.bytes_written,
-            "chunks_deduped": self.chunks_deduped,
-            "bytes_deduped": self.bytes_deduped,
-        }
-
 
 class MemoryChunkStore:
     """Dict-backed :class:`ChunkStore` twin for tests and the oracle.
@@ -142,20 +129,16 @@ class MemoryChunkStore:
     def __init__(self):
         self._chunks = {}
         self.chunks_written = 0
-        self.bytes_written = 0
         self.chunks_deduped = 0
-        self.bytes_deduped = 0
 
     def put(self, data):
         data = bytes(data)
         digest = _sha256(data)
         if digest in self._chunks:
             self.chunks_deduped += 1
-            self.bytes_deduped += len(data)
             return digest
         self._chunks[digest] = data
         self.chunks_written += 1
-        self.bytes_written += len(data)
         return digest
 
     def has(self, digest):
@@ -166,9 +149,6 @@ class MemoryChunkStore:
         if data is None:
             raise CheckpointError("missing chunk %s" % digest)
         return data
-
-    def stats(self):
-        return ChunkStore.stats(self)
 
 
 #: LATEST pointer format: one line, schema-tagged and self-validating.
@@ -301,44 +281,3 @@ class CheckpointStore(ChunkStore):
             raise CheckpointError(
                 "no verifiable checkpoint under %s" % self.root)
         return manifest
-
-
-def tree_stats(base_dir):
-    """Size/dedup stats over every checkpoint store under ``base_dir``.
-
-    Walks the tree (a resumable soak leaves one ``progress`` store plus
-    one per-seed store), counting physical objects and manifests from
-    the filesystem and *logical* chunk references from the manifests
-    themselves.  ``dedup_ratio`` is logical references over physical
-    objects: how many times the average chunk was reused instead of
-    rewritten.  Disk truth, so it is meaningful across any number of
-    crashed-and-resumed writer processes.
-    """
-    stats = {"stores": 0, "manifests": 0, "objects": 0, "object_bytes": 0,
-             "logical_chunk_refs": 0, "dedup_ratio": 0.0}
-    for dirpath, dirnames, _filenames in os.walk(base_dir):
-        if "manifests" not in dirnames or "objects" not in dirnames:
-            continue
-        dirnames[:] = [d for d in dirnames
-                       if d not in ("manifests", "objects")]
-        store = CheckpointStore(dirpath)
-        stats["stores"] += 1
-        for name in os.listdir(store._objects):
-            subdir = os.path.join(store._objects, name)
-            for obj in os.listdir(subdir):
-                stats["objects"] += 1
-                stats["object_bytes"] += \
-                    os.path.getsize(os.path.join(subdir, obj))
-        for name in store.manifest_names():
-            try:
-                manifest = store.load_manifest(name)
-            except CheckpointError:
-                continue
-            stats["manifests"] += 1
-            stats["logical_chunk_refs"] += len(manifest.get("graph", ()))
-            for record in manifest.get("machines", ()):
-                stats["logical_chunk_refs"] += len(record.get("pages", ()))
-    if stats["objects"]:
-        stats["dedup_ratio"] = round(
-            stats["logical_chunk_refs"] / stats["objects"], 3)
-    return stats

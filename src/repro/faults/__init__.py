@@ -13,7 +13,10 @@ injected fault" into a continuously tested property:
   attestation quotes, the PV-IO ring) by wrapping live *instances*;
 * :mod:`repro.faults.soak` — the chaos soak harness: a scripted fleet
   workload across many seeds, asserting the placement and no-plaintext
-  invariants after every injected fault.
+  invariants after every injected fault, resumable between seeds;
+* :mod:`repro.faults.bisect` — shrinks a failing seed's fault schedule
+  to the smallest :class:`~repro.faults.inject.FireWindow` that still
+  reproduces the failure.
 
 Containment rule (enforced by fidelint FID009): all injection state
 lives here.  Product code carries no fault hooks — injectors wrap

@@ -36,15 +36,15 @@ STALE_NONCE = bytes(16)
 class FireWindow:
     """Admit only a contiguous slice of a run's would-be fault firings.
 
-    The time-travel bisector (:mod:`repro.checkpoint.bisect`) narrows a
-    failing soak down to a minimal fault window by re-running with
+    The bisector (:mod:`repro.faults.bisect`) narrows a failing soak
+    down to a minimal fault window by re-running with
     ``FireWindow(skip, limit)``: hits with global index < ``skip`` or
     >= ``limit`` are *suppressed* — they still consume the spec budget,
     still advance occurrence counters and still draw from the RNG (the
     trigger schedule stays replay-identical), but their action is not
-    applied and they land in the injector's ``suppressed`` log instead
-    of ``fired``.  One window is shared by every injector of a run, so
-    the index is the chronological firing order across the whole fleet.
+    applied and they stay out of the injector's ``fired`` log.  One
+    window is shared by every injector of a run, so the index is the
+    chronological firing order across the whole fleet.
     """
 
     def __init__(self, skip=0, limit=None):
@@ -70,8 +70,6 @@ class HostInjector:
         self.label = label
         #: Chronological firing log: (label, site, occurrence, action).
         self.fired = []
-        #: Hits a :class:`FireWindow` held back (same entry shape).
-        self.suppressed = []
         #: Shared admission window, or None for fire-everything.
         self.window = None
         self._counts = {}
@@ -99,11 +97,10 @@ class HostInjector:
                 hit = self.machine.rng.random() < spec.probability
             if hit:
                 self._budget[index] -= 1
-                entry = (self.label, site, occurrence, spec.action)
                 if self.window is not None and not self.window.admit():
-                    self.suppressed.append(entry)
                     return None
-                self.fired.append(entry)
+                self.fired.append((self.label, site, occurrence,
+                                   spec.action))
                 return spec.action
         return None
 
@@ -226,29 +223,6 @@ class HostInjector:
         self._shadow(ring, "push_response", push_response)
         self._mark(ring)
         return self
-
-    # -- checkpoint support ------------------------------------------------------
-
-    def replay_state(self):
-        """Everything needed to resume this injector's trigger schedule
-        mid-run: per-site occurrence counters, remaining spec budgets,
-        the firing logs, and any in-flight duplicated ring request.
-        The shadowing wrappers themselves are *not* state — a resumed
-        run re-arms fresh wrappers on the restored objects."""
-        return {
-            "counts": dict(self._counts),
-            "budget": dict(self._budget),
-            "fired": list(self.fired),
-            "suppressed": list(self.suppressed),
-            "dup_request": self._dup_request,
-        }
-
-    def restore_replay_state(self, state):
-        self._counts = dict(state["counts"])
-        self._budget = dict(state["budget"])
-        self.fired = [tuple(entry) for entry in state["fired"]]
-        self.suppressed = [tuple(entry) for entry in state["suppressed"]]
-        self._dup_request = state["dup_request"]
 
     # -- teardown ----------------------------------------------------------------
 

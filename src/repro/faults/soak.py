@@ -29,14 +29,13 @@ The final phase also re-enters every surviving tenant (proving a
 cancelled migration really leaves the source RUNNING) and runs the full
 :func:`repro.core.invariants.check_invariants` audit on every host.
 
-Crash resumability (``--checkpoint-dir`` / ``--resume``): long soaks
-checkpoint themselves through :mod:`repro.checkpoint` — completed-seed
-results every ``--checkpoint-every`` seeds into a *progress* store, and
-(optionally) the live fleet and its event queue mid-scenario every
-``--checkpoint-events`` fault firings into a per-seed store.  A killed
-soak resumed from its checkpoints produces a report and digest
-byte-identical to the uninterrupted run; CI's ``resume-equivalence``
-job SIGKILLs a 20-seed soak at seed 10 and holds us to that.
+Crash resumability (``--checkpoint-dir`` / ``--resume``): a long soak
+saves its completed-seed results through :mod:`repro.checkpoint` into a
+*progress* store every ``--checkpoint-every`` seeds.  A killed soak
+resumed from that store re-runs at most the chunk the kill interrupted,
+and its report and digest are byte-identical to the uninterrupted run;
+CI's ``resume-equivalence`` job SIGKILLs a 20-seed soak at seed 10,
+resumes it at ``--jobs 2`` and holds us to that.
 """
 
 import json
@@ -55,19 +54,24 @@ from repro.cloud import Cloud
 from repro.common.errors import ReproError
 from repro.core.invariants import check_invariants
 from repro.eval.security import plaintext_leak_scan
-from repro.faults.inject import FireWindow, arm_cloud, schedule_bytes
+from repro.faults.inject import arm_cloud, schedule_bytes
 from repro.faults.plan import FaultPlan
 from repro.fleet.events import Event, EventQueue
-from repro.runner import WorkUnit, add_jobs_argument, digest, execute
+from repro.runner import (
+    WorkUnit,
+    add_jobs_argument,
+    digest,
+    execute,
+    int_at_least,
+)
 from repro.system import GuestOwner
 from repro.xen import hypercalls as hc
 
 #: The fixed seed set CI soaks over (acceptance floor: 20 seeds).
 DEFAULT_SEEDS = tuple(range(20))
 
-#: Manifest kinds this harness writes.
+#: Manifest kind of the progress store.
 PROGRESS_KIND = "soak-progress"
-INSEED_KIND = "soak-inseed"
 
 #: The workload profiles: how the schedule fills its migration phase.
 PROFILES = ("classic", "fleet")
@@ -145,21 +149,11 @@ def _attempt(result, cloud, secrets, name, operation):
 # -- scenario construction -------------------------------------------------------
 
 
-def _tenant_setup(seed, tenants):
-    """Tenant names and secret needles — pure functions of the seed, so
-    a resumed scenario recomputes them instead of checkpointing them."""
-    names = ["t%d" % i for i in range(tenants)]
-    secrets = [(name, _secret(seed, name)) for name in names]
-    disk_secret = _secret(seed, "disk")
-    secrets.append(("disk", disk_secret))
-    return names, secrets, disk_secret
-
-
 def _scenario_params(hosts=3, tenants=2, frames=1024, nfaults=4,
                      profile="classic", migrations=6):
-    """The parameters a checkpoint must match to be resumed.  Both
-    profiles carry ``profile``, so neither resumes the other's
-    checkpoints; only the storm has a size."""
+    """The parameters a progress store must match to be resumed; fails
+    closed on an unknown profile.  Both profiles carry ``profile``, so
+    neither resumes the other's progress; only the storm has a size."""
     if profile not in PROFILES:
         raise ReproError("unknown soak profile %r" % profile)
     params = {"hosts": hosts, "tenants": tenants, "frames": frames,
@@ -238,26 +232,6 @@ def _event_op(cloud, injectors, seed, disk_secret, event):
     raise ReproError("unknown soak event kind %r" % kind)
 
 
-def _drive(cloud, injectors, result, queue, params, checkpointer):
-    """Pop the queue dry, attempting each event's op as it fires and
-    checkpointing between events, then run the final phase."""
-    _names, secrets, disk_secret = _tenant_setup(result.seed,
-                                                 params["tenants"])
-    while True:
-        item = queue.pop()
-        if item is None:
-            break
-        name, op = _event_op(cloud, injectors, result.seed, disk_secret,
-                             item[1])
-        _attempt(result, cloud, secrets, name, op)
-        if checkpointer is not None:
-            checkpointer.after_op(cloud, injectors, result, queue, params)
-    # The virtual clock enters the result (and so the soak digest):
-    # resume must restore it exactly, not just the remaining events.
-    result.completed_ops.append("fleet-clock:%d" % queue.now)
-    return _finish_scenario(cloud, injectors, result, secrets)
-
-
 def _finish_scenario(cloud, injectors, result, secrets):
     """Final phase: faults off, the fleet must stand on its own."""
     result.schedule = schedule_bytes(injectors)
@@ -279,179 +253,52 @@ def _finish_scenario(cloud, injectors, result, secrets):
     return result
 
 
-# -- in-seed checkpointing -------------------------------------------------------
-
-
-def _events_seen(injectors):
-    """Total fault firings so far (admitted and window-suppressed)."""
-    return sum(len(i.fired) + len(i.suppressed) for i in injectors)
-
-
-def _rearm_cloud(cloud, injectors):
-    """Re-shadow the fleet's boundaries onto *existing* injectors (same
-    counters, same budgets) after a disarm-for-pickling window.  Disk
-    rings armed by earlier ops are not re-armed: each ring is only
-    driven within its own op, and in-seed checkpoints happen between
-    ops, so the omission is behavior-neutral."""
-    for index, injector in enumerate(injectors):
-        host = cloud.host(index)
-        injector.arm_fidelius(host.fidelius)
-        injector.arm_memctrl(host.machine.memctrl)
-        injector.arm_attestation(cloud.authority(index))
-
-
-class InSeedCheckpointer:
-    """Writes one scenario's mid-run resume points.
-
-    Every ``every_events`` fault firings, the live fleet, the partial
-    result, the event queue (pending events *and* virtual clock; events
-    are pure data and pickle byte-stably) and every injector's replay
-    state go into ``store`` as a ``soak-inseed`` checkpoint.  The
-    injectors' instance-level wrappers are unpicklable closures, so the
-    protocol is disarm -> snapshot -> re-arm; the wrappers carry no
-    state (it all lives in the injector), so the round trip is
-    invisible to the run.
-    """
-
-    def __init__(self, store, every_events):
-        self.store = store
-        self.every_events = every_events
-        self._written_at = 0
-
-    def resync(self, injectors):
-        """Continue the firing cadence from a restored run's counters."""
-        self._written_at = _events_seen(injectors)
-
-    def after_op(self, cloud, injectors, result, queue, params):
-        if not self.every_events:
-            return
-        seen = _events_seen(injectors)
-        if seen - self._written_at < self.every_events:
-            return
-        self._written_at = seen
-        replay = [injector.replay_state() for injector in injectors]
-        for injector in injectors:
-            injector.disarm()
-        try:
-            payload = {"params": params, "cloud": cloud, "result": result,
-                       "replay": replay, "queue": queue}
-            manifest = snapshot(
-                payload, self.store, kind=INSEED_KIND,
-                machines=[host.machine for host in cloud.hosts],
-                meta={"seed": result.seed, "events": seen})
-            self.store.commit(manifest)
-        finally:
-            _rearm_cloud(cloud, injectors)
-
-
-def _resume_scenario(manifest, store, params, checkpointer, window):
-    """Pick one scenario back up from its newest in-seed checkpoint:
-    the restored queue keeps popping from the restored virtual instant."""
-    if manifest.get("kind") != INSEED_KIND:
-        raise CheckpointError(
-            "checkpoint kind %r is not an in-seed soak checkpoint"
-            % manifest.get("kind"))
-    payload = restore(
-        manifest, store,
-        machines_of=lambda p: [h.machine for h in p["cloud"].hosts])
-    if payload["params"] != params:
-        raise CheckpointError(
-            "checkpoint parameters %r do not match this run's %r: "
-            "refusing to resume" % (payload["params"], params))
-    cloud = payload["cloud"]
-    result = payload["result"]
-    plan = FaultPlan.random(result.seed, nfaults=params["nfaults"])
-    injectors = arm_cloud(cloud, plan, window=window)
-    for injector, state in zip(injectors, payload["replay"]):
-        injector.restore_replay_state(state)
-    checkpointer.resync(injectors)
-    return _drive(cloud, injectors, result, payload["queue"], params,
-                  checkpointer)
-
-
-def fire_window(skip=0, limit=None):
-    """Factory for :class:`repro.faults.inject.FireWindow`.
-
-    The time-travel bisector lives a layer *below* faults
-    (:mod:`repro.checkpoint.bisect`) and reaches this harness through
-    an ``importlib`` entry point; it obtains admission windows through
-    this factory instead of importing upward into the fault layer.
-    """
-    return FireWindow(skip, limit)
-
-
 def run_scenario(seed, hosts=3, tenants=2, frames=1024, nfaults=4,
-                 profile="classic", migrations=6, checkpoint_dir=None,
-                 every_events=0, window=None):
+                 profile="classic", migrations=6, window=None):
     """One seeded scenario: build, arm, run the workload, verify.
 
     ``profile`` picks the schedule's migration phase (``"classic"`` or
-    the ``"fleet"`` storm of ``migrations`` arrivals).  With
-    ``checkpoint_dir`` the scenario is crash-resumable: an in-seed
-    checkpoint lands every ``every_events`` fault firings, and a store
-    that already holds one resumes from it instead of restarting —
-    byte-identical to the uninterrupted run.  ``window`` (from
-    :func:`fire_window`) restricts which fault firings are admitted,
-    for the bisector's fault-window search.
+    the ``"fleet"`` storm of ``migrations`` arrivals).  ``window`` (a
+    :class:`~repro.faults.inject.FireWindow`) restricts which fault
+    firings are admitted, for the bisector's fault-window search.
     """
-    params = _scenario_params(hosts, tenants, frames, nfaults, profile,
-                              migrations)
-    checkpointer = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        checkpointer = InSeedCheckpointer(store, every_events)
-        manifest = store.latest()
-        if manifest is not None:
-            return _resume_scenario(manifest, store, params, checkpointer,
-                                    window)
+    _scenario_params(hosts, tenants, frames, nfaults, profile, migrations)
     plan = FaultPlan.random(seed, nfaults=nfaults)
     cloud = Cloud(hosts=hosts, frames=frames, seed=0xB000 + seed)
     injectors = arm_cloud(cloud, plan, window=window)
-    names = _tenant_setup(seed, tenants)[0]
+    names = ["t%d" % i for i in range(tenants)]
+    secrets = [(name, _secret(seed, name)) for name in names]
+    disk_secret = _secret(seed, "disk")
+    secrets.append(("disk", disk_secret))
     queue = _schedule(seed, names, profile, migrations)
-    return _drive(cloud, injectors, SoakResult(seed=seed), queue, params,
-                  checkpointer)
+    result = SoakResult(seed=seed)
+    while True:
+        item = queue.pop()
+        if item is None:
+            break
+        name, op = _event_op(cloud, injectors, seed, disk_secret, item[1])
+        _attempt(result, cloud, secrets, name, op)
+    # The final virtual clock enters the result (and so the pinned
+    # digests): a change to the schedule's timing cannot pass silently.
+    result.completed_ops.append("fleet-clock:%d" % queue.now)
+    return _finish_scenario(cloud, injectors, result, secrets)
 
 
 # -- sweeps ----------------------------------------------------------------------
 
 
-def unit_checkpoint_path(base_dir, key):
-    """The per-seed checkpoint directory under ``base_dir``.
-
-    Seeds running in different worker processes must never share one
-    checkpoint store (two writers would race the same latest-pointer),
-    so each seed gets its own subdirectory; the sweep's checkpoint
-    writer and its resume path agree on the layout through this one
-    function, whatever process either runs in.
-    """
-    return os.path.join(base_dir, "unit-%s" % (key,))
-
-
-def soak_report(seeds=DEFAULT_SEEDS, jobs=1, checkpoint_dir=None,
-                every_events=0, **scenario_kwargs):
+def soak_report(seeds=DEFAULT_SEEDS, jobs=1, **scenario_kwargs):
     """Run every seed through the sharded runner; returns the
     :class:`~repro.runner.executor.RunReport` (per-seed wall-clock,
     utilization, diagnostic events) with results in seed order.
-
-    With ``checkpoint_dir`` and ``every_events`` each scenario
-    checkpoints itself mid-run into its own per-seed store
-    (:func:`unit_checkpoint_path`, so pool workers never share a
-    store).
 
     Every scenario is shared-nothing and fully seed-determined, so the
     merged results are byte-identical whatever ``jobs`` is — the
     ``parallel-equivalence`` CI job and
     ``tests/runner/test_parallel_equivalence.py`` hold us to that.
     """
-    units = []
-    for seed in seeds:
-        kwargs = dict(scenario_kwargs)
-        if checkpoint_dir is not None and every_events:
-            kwargs.update(
-                checkpoint_dir=unit_checkpoint_path(checkpoint_dir, seed),
-                every_events=every_events)
-        units.append(WorkUnit.of(seed, run_scenario, seed, **kwargs))
+    units = [WorkUnit.of(seed, run_scenario, seed, **scenario_kwargs)
+             for seed in seeds]
     return execute(units, jobs=jobs)
 
 
@@ -480,19 +327,15 @@ def _write_progress(store, results, next_index, params):
     store.commit(manifest)
 
 
-def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
-                   resume=False, jobs=1, sigkill_after=None,
-                   **scenario_kwargs):
+def resumable_soak(seeds, checkpoint_dir, every_seeds=5, resume=False,
+                   jobs=1, sigkill_after=None, **scenario_kwargs):
     """A seed sweep that survives being killed at any instant.
 
     Completed-seed results are checkpointed into
-    ``<checkpoint_dir>/progress`` every ``every_seeds`` seeds; each
-    scenario additionally checkpoints itself mid-run every
-    ``every_events`` fault firings into its own per-seed store (see
-    :func:`soak_report`).  With ``resume=True`` the sweep continues
-    from whatever the stores hold — re-running completed chunks never,
-    half-done scenarios from their last in-seed checkpoint — and the
-    final result list is byte-identical to an uninterrupted run.
+    ``<checkpoint_dir>/progress`` every ``every_seeds`` seeds (0: once,
+    at the end).  With ``resume=True`` the sweep continues from the
+    first seed the store does not hold, and the final result list is
+    byte-identical to an uninterrupted run.
 
     A directory that already holds progress **requires** ``resume=True``
     (fail closed: silently restarting over live checkpoints would make
@@ -500,6 +343,9 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
     a progress checkpoint after that many seeds and then SIGKILLs this
     process — the hook CI's resume-equivalence job interrupts with.
     """
+    if every_seeds < 0:
+        raise ReproError("checkpoint cadence must be at least 0 seeds, "
+                         "got %d" % every_seeds)
     seeds = list(seeds)
     params = dict(_scenario_params(**scenario_kwargs), seeds=seeds)
     store = _progress_store(checkpoint_dir)
@@ -530,8 +376,7 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, every_events=0,
         if sigkill_after is not None and index < sigkill_after <= stop:
             stop = sigkill_after
         report = soak_report(seeds[index:stop], jobs=jobs,
-                             checkpoint_dir=checkpoint_dir,
-                             every_events=every_events, **scenario_kwargs)
+                             **scenario_kwargs)
         results.extend(report.values())
         index = stop
         _write_progress(store, results, index, params)
@@ -546,18 +391,19 @@ def main(argv=None):
         prog="python -m repro.faults.soak",
         description="chaos-soak the Fidelius fleet across seeded "
                     "fault schedules")
-    parser.add_argument("--seeds", type=int, default=len(DEFAULT_SEEDS),
+    parser.add_argument("--seeds", type=int_at_least(1),
+                        default=len(DEFAULT_SEEDS),
                         help="number of seeds (0..N-1) to soak")
-    parser.add_argument("--hosts", type=int, default=3)
-    parser.add_argument("--tenants", type=int, default=2)
-    parser.add_argument("--nfaults", type=int, default=4)
+    parser.add_argument("--hosts", type=int_at_least(1), default=3)
+    parser.add_argument("--tenants", type=int_at_least(1), default=2)
+    parser.add_argument("--nfaults", type=int_at_least(0), default=4)
     parser.add_argument("--fleet-profile", action="store_true",
                         help="drive each scenario off a virtual-clock "
                              "event queue (migration storm with seeded "
                              "same-instant races) instead of the "
                              "classic op list")
-    parser.add_argument("--fleet-migrations", type=int, default=6,
-                        metavar="N",
+    parser.add_argument("--fleet-migrations", type=int_at_least(0),
+                        default=6, metavar="N",
                         help="storm size for --fleet-profile "
                              "(default %(default)s)")
     add_jobs_argument(parser)
@@ -567,40 +413,39 @@ def main(argv=None):
                              "fidelius-soak-bench/1)")
     parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                         help="make the soak crash-resumable: checkpoint "
-                             "progress and in-seed state under DIR")
+                             "completed seeds under DIR")
     parser.add_argument("--resume", action="store_true",
-                        help="continue from the checkpoints already in "
+                        help="continue from the progress already in "
                              "--checkpoint-dir")
-    parser.add_argument("--checkpoint-every", type=int, default=5,
-                        metavar="SEEDS",
+    parser.add_argument("--checkpoint-every", type=int_at_least(0),
+                        default=5, metavar="SEEDS",
                         help="progress checkpoint cadence in seeds "
-                             "(default %(default)s)")
-    parser.add_argument("--checkpoint-events", type=int, default=0,
-                        metavar="EVENTS",
-                        help="also checkpoint inside each scenario every "
-                             "N fault firings (0: between seeds only)")
-    parser.add_argument("--sigkill-after", type=int, default=None,
-                        metavar="SEEDS",
+                             "(default %(default)s; 0: at the end only)")
+    parser.add_argument("--sigkill-after", type=int_at_least(1),
+                        default=None, metavar="SEEDS",
                         help="checkpoint then SIGKILL this process after "
                              "N seeds (resume-equivalence testing)")
-    parser.add_argument("--checkpoint-bench-json", metavar="PATH",
-                        default=None,
-                        help="write checkpoint size/dedup stats as JSON "
-                             "(schema fidelius-checkpoint-bench/1)")
     args = parser.parse_args(argv)
+    if args.checkpoint_dir is None:
+        if args.resume:
+            parser.error("--resume needs --checkpoint-dir")
+        if args.sigkill_after is not None:
+            parser.error("--sigkill-after needs --checkpoint-dir")
+    elif args.bench_json:
+        parser.error("--bench-json times an uninterrupted sweep; it "
+                     "cannot be combined with --checkpoint-dir")
     scenario_kwargs = {"hosts": args.hosts, "tenants": args.tenants,
                        "nfaults": args.nfaults}
     if args.fleet_profile:
         scenario_kwargs.update(profile="fleet",
                                migrations=args.fleet_migrations)
     report = None
-    if args.checkpoint_dir:
+    if args.checkpoint_dir is not None:
         results = resumable_soak(
             range(args.seeds), args.checkpoint_dir,
-            every_seeds=args.checkpoint_every,
-            every_events=args.checkpoint_events,
-            resume=args.resume, jobs=args.jobs,
-            sigkill_after=args.sigkill_after, **scenario_kwargs)
+            every_seeds=args.checkpoint_every, resume=args.resume,
+            jobs=args.jobs, sigkill_after=args.sigkill_after,
+            **scenario_kwargs)
     else:
         report = soak_report(range(args.seeds), jobs=args.jobs,
                              **scenario_kwargs)
@@ -634,15 +479,6 @@ def main(argv=None):
             with open(args.bench_json, "w") as fh:
                 json.dump(bench, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    if args.checkpoint_bench_json and args.checkpoint_dir:
-        from repro.checkpoint.store import tree_stats
-        bench = {"schema": "fidelius-checkpoint-bench/1",
-                 "seeds": args.seeds,
-                 "digest": results_digest(results)}
-        bench.update(tree_stats(args.checkpoint_dir))
-        with open(args.checkpoint_bench_json, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 1 if bad else 0
 
 

@@ -3,8 +3,7 @@
 One :class:`EventQueue` is the entire notion of time for a fleet model.
 Virtual time is an integer count of *nanoseconds of modelled work* —
 integers so that clock arithmetic is exact, digests are byte-stable
-across platforms, and a pickled queue restores to the identical state
-(the checkpoint/resume round-trip the fleet soak proves).
+across platforms, and a pickled queue restores to the identical state.
 
 Ordering is a total order and therefore deterministic:
 
@@ -19,8 +18,9 @@ collide).  ``seq`` breaks the astronomically unlikely residual tie and
 doubles as the cancellable timer handle.
 
 Events are pure data (:class:`Event`), never closures: the queue must
-pickle byte-for-byte for checkpoint/resume, and a model dispatches on
-``Event.kind`` instead of calling back into captured state.
+pickle byte-for-byte (a pickled :class:`~repro.fleet.model.FleetModel`
+carries its queue), and a model dispatches on ``Event.kind`` instead of
+calling back into captured state.
 """
 
 import heapq

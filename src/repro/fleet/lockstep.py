@@ -143,8 +143,8 @@ def run_lockstep(seed=0xC10D, hosts=3, tenants=6, churn=6, frames=4096):
     The campaign: launch ``tenants`` guests, run ``churn`` policy-chosen
     migrations, tamper the host heading the placement order and verify
     both sides route around it identically (the cloud by *discovering*
-    the tamper at its next attestation), then shut a tenant down and
-    keep churning.
+    the tamper at its next attestation), then shut a tenant down, keep
+    churning, and shut down a second tenant of the other size.
     """
     diff = _Differential(seed, hosts, frames)
     rng = random.Random(seed ^ 0xD1FF)
@@ -176,12 +176,18 @@ def run_lockstep(seed=0xC10D, hosts=3, tenants=6, churn=6, frames=4096):
 
     victim = rng.choice(sorted(n for n in names
                                if diff.model.guests[n].host != tampered))
+    victim_frames = diff.model.guests[victim].frames
     diff.step("shutdown", victim)
     names.remove(victim)
     survivors = [n for n in names
                  if diff.model.guests[n].host != tampered]
     for _ in range(max(2, churn // 2)):
         diff.step("migrate", rng.choice(survivors))
+    # A second shutdown, at the other size, pins both terms of the
+    # shutdown charge: the first survivor by name whose frames differ.
+    second = next(n for n in sorted(survivors)
+                  if diff.model.guests[n].frames != victim_frames)
+    diff.step("shutdown", second)
 
     diff.report.inventory = diff.model.inventory()
     return diff.report

@@ -41,22 +41,26 @@ __all__ = [
 ]
 
 
-def _job_count(text):
-    """argparse type for ``--jobs``: an integer of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            "expected an integer of at least 1, got %r" % (text,))
-    return jobs
+def int_at_least(minimum):
+    """argparse type for a count flag: an integer of at least
+    ``minimum``; anything else is a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "expected an integer of at least %d, got %r"
+                % (minimum, text))
+        return value
+    return parse
 
 
 def add_jobs_argument(parser, default=1):
     """The shared ``--jobs`` flag every runner-backed CLI exposes."""
     parser.add_argument(
-        "--jobs", type=_job_count, default=default, metavar="N",
+        "--jobs", type=int_at_least(1), default=default, metavar="N",
         help="worker processes for independent work units "
              "(default %(default)s: serial, deterministic-tooling "
              "friendly; results are byte-identical either way)")

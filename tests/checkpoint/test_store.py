@@ -17,7 +17,6 @@ from repro.checkpoint.store import (
     ChunkStore,
     MemoryChunkStore,
     atomic_write,
-    tree_stats,
 )
 
 
@@ -175,16 +174,3 @@ class TestTruncateFuzzing:
             with pytest.raises(CheckpointError):
                 store.require_latest()
 
-
-class TestTreeStats:
-    def test_counts_objects_and_manifests(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "ck" / "a"))
-        store.put(b"chunk one")
-        store.put(b"chunk one")     # deduped
-        store.put(b"chunk two")
-        store.commit({"graph": ["g"], "machines": [{"pages": {"0": "d"}}]})
-        stats = tree_stats(str(tmp_path / "ck"))
-        assert stats["stores"] == 1
-        assert stats["objects"] == 2
-        assert stats["manifests"] == 1
-        assert stats["logical_chunk_refs"] == 2

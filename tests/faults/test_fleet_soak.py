@@ -1,4 +1,4 @@
-"""The soak's ``--fleet-profile``: event-queue storms, resumable clocks.
+"""The soak's ``--fleet-profile``: event-queue storms on a virtual clock.
 
 Both soak profiles are virtual-clock
 :class:`~repro.fleet.events.EventQueue` schedules popped by one
@@ -6,9 +6,9 @@ driver; the fleet profile fills the migration phase with a storm
 (arrivals snapped to shared instants so the seeded tie-break resolves
 real races) while keeping every fault-injection and confidentiality
 check of the classic soak.  These tests pin the three contracts the
-profile adds: seed determinism, byte-identical checkpoint/resume (the
-pending queue *and* the virtual clock ride in the payload), and
-fail-closed separation from classic-profile checkpoints.
+profile adds: seed determinism (the final virtual clock included),
+byte-identical resumable sweeps, and fail-closed separation from
+classic-profile progress.
 """
 
 import pickle
@@ -17,8 +17,8 @@ import pytest
 
 from repro.checkpoint.store import CheckpointError
 from repro.faults.soak import (
-    INSEED_KIND,
     results_digest,
+    resumable_soak,
     run_scenario,
     soak_report,
 )
@@ -59,46 +59,25 @@ class TestDeterminism:
 
 class TestCheckpointResume:
     def test_checkpointed_run_matches_plain_run(self, tmp_path):
-        baseline = run_scenario(5, **PARAMS)
-        checkpointed = run_scenario(
-            5, checkpoint_dir=str(tmp_path / "unit"), every_events=1,
-            **PARAMS)
-        assert pickle.dumps(checkpointed) == pickle.dumps(baseline)
-
-    def test_resume_restores_queue_and_clock_byte_for_byte(self, tmp_path):
-        baseline = run_scenario(5, **PARAMS)
-        run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                     every_events=1, **PARAMS)
-        resumed = run_scenario(
-            5, checkpoint_dir=str(tmp_path / "unit"), every_events=1,
-            **PARAMS)
-        assert pickle.dumps(resumed) == pickle.dumps(baseline)
-
-    def test_checkpoints_carry_the_fleet_kind(self, tmp_path):
-        # one in-seed kind for both profiles; the profile rides in the
-        # checkpoint parameters
-        from repro.checkpoint.store import CheckpointStore
-        run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                     every_events=1, **PARAMS)
-        manifest = CheckpointStore(str(tmp_path / "unit")).require_latest()
-        assert manifest["kind"] == INSEED_KIND
+        plain = soak_report(seeds=(5, 6), **PARAMS).values()
+        swept = resumable_soak((5, 6), str(tmp_path / "ck"), every_seeds=1,
+                               **PARAMS)
+        assert pickle.dumps(swept) == pickle.dumps(plain)
 
     def test_classic_checkpoint_refuses_fleet_resume(self, tmp_path):
-        run_scenario(5, hosts=2, tenants=2, frames=512, nfaults=3,
-                     checkpoint_dir=str(tmp_path / "unit"),
-                     every_events=1)
-        # same in-seed kind, but the params' "profile" entry differs
-        with pytest.raises(CheckpointError, match="parameters"):
-            run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                         every_events=1, **PARAMS)
+        resumable_soak((5,), str(tmp_path / "ck"), hosts=2, tenants=2,
+                       frames=512, nfaults=3)
+        # same progress kind, but the params' "profile" entry differs
+        with pytest.raises(CheckpointError, match="refusing to resume"):
+            resumable_soak((5,), str(tmp_path / "ck"), resume=True,
+                           **PARAMS)
 
     def test_resume_rejects_parameter_drift(self, tmp_path):
-        run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                     every_events=1, **PARAMS)
+        resumable_soak((5,), str(tmp_path / "ck"), **PARAMS)
         other = dict(PARAMS, migrations=PARAMS["migrations"] + 1)
-        with pytest.raises(CheckpointError, match="parameters"):
-            run_scenario(5, checkpoint_dir=str(tmp_path / "unit"),
-                         every_events=1, **other)
+        with pytest.raises(CheckpointError, match="refusing to resume"):
+            resumable_soak((5,), str(tmp_path / "ck"), resume=True,
+                           **other)
 
 
 @pytest.mark.soak

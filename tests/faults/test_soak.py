@@ -7,6 +7,7 @@ CI job: ``pytest -m soak``.
 
 import pytest
 
+from repro.faults import soak as soak_cli
 from repro.faults.soak import (
     DEFAULT_SEEDS,
     results_digest,
@@ -60,6 +61,44 @@ class TestSmoke:
         line = run_scenario(0).describe()
         assert "seed=0" in line
         assert "ok" in line
+
+
+#: (argv, the flag the usage error must name); DIR and PATH become
+#: paths under the test's tmp_path
+USAGE_ERRORS = {
+    "cadence-below-0": (["--seeds", "2", "--checkpoint-dir", "DIR",
+                         "--checkpoint-every", "-1"], "--checkpoint-every"),
+    "resume-without-dir": (["--resume"], "--resume"),
+    "sigkill-without-dir": (["--sigkill-after", "1"], "--sigkill-after"),
+    "sigkill-after-0": (["--checkpoint-dir", "DIR", "--sigkill-after",
+                         "0"], "--sigkill-after"),
+    "bench-json-with-dir": (["--checkpoint-dir", "DIR", "--bench-json",
+                             "PATH"], "--bench-json"),
+    "zero-seeds": (["--seeds", "0"], "--seeds"),
+    "zero-tenants": (["--tenants", "0"], "--tenants"),
+    "zero-hosts": (["--hosts", "0"], "--hosts"),
+    "negative-nfaults": (["--nfaults", "-1"], "--nfaults"),
+    "negative-migrations": (["--fleet-profile", "--fleet-migrations",
+                             "-1"], "--fleet-migrations"),
+}
+
+
+class TestCli:
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_ignored_or_looping_inputs_are_usage_errors(
+            self, case, monkeypatch, tmp_path, capsys):
+        # the CLI must refuse before it runs anything
+        def ran(*args, **kwargs):
+            raise AssertionError("the soak ran")
+        monkeypatch.setattr(soak_cli, "soak_report", ran)
+        monkeypatch.setattr(soak_cli, "resumable_soak", ran)
+        argv, flag = USAGE_ERRORS[case]
+        argv = [str(tmp_path / arg) if arg in ("DIR", "PATH") else arg
+                for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            soak_cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 @pytest.mark.soak

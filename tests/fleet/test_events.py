@@ -3,8 +3,8 @@
 Everything the fleet model builds on reduces to the ``EventQueue``
 contract tested here: a total, seed-deterministic order over virtual
 time, lazy O(1) cancellation, a clock that never runs backwards, and a
-queue that pickles to an identically-behaving twin (the property the
-fleet soak's checkpoint/resume rides on).
+queue that pickles to an identically-behaving twin (a pickled
+``FleetModel`` carries its queue).
 """
 
 import pickle

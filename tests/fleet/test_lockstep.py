@@ -86,11 +86,11 @@ class TestAgreement:
         assert report.ok, "\n".join(report.mismatches)
         assert report.launches == 7          # 6 tenants + post-tamper
         assert report.migrations >= 8
-        assert report.shutdowns == 1
+        assert report.shutdowns == 2          # one guest of each size
         assert report.quarantines == 1
         # the tampered host ends up empty on both sides; the report's
         # closing inventory is the model's view
-        assert sum(len(v) for v in report.inventory.values()) == 6
+        assert sum(len(v) for v in report.inventory.values()) == 5
 
     def test_asdict_is_json_shaped(self):
         report = run_lockstep(tenants=3, churn=2)
@@ -152,6 +152,16 @@ class TestCycleTable:
         other = [f for f in GUEST_FRAMES if f != agrees_at]
         assert caught == {(method, frames) for method in STEP_KINDS
                           for frames in other}
+
+    def test_campaign_pins_both_shutdown_terms(self, monkeypatch):
+        # the shutdown charge moved along the line through its value at
+        # 48 frames, the first victim's size at the default seed: only
+        # the campaign's second shutdown, at 16 frames, can catch it
+        fixed, per_frame = FleetModel.CYCLES["shutdown"]
+        monkeypatch.setattr(FleetModel, "CYCLES", dict(
+            FleetModel.CYCLES, shutdown=(fixed + 48, per_frame - 1)))
+        report = run_lockstep()
+        assert _cycle_mismatches(report) == {("shutdown", "ls-extra")}
 
     @pytest.mark.parametrize("frames", GUEST_FRAMES)
     def test_rotation_costs_the_table_charge(self, real_rotation_cycles,

@@ -15,7 +15,7 @@ CLIS = {
     "repro.eval.perfbench": (perfbench.main,
                              ["--quick", "--only", "keystream"]),
     "repro.eval.fleetbench": (fleetbench.main, ["--profile", "smoke"]),
-    "repro.faults.soak": (soak.main, ["--seeds", "0"]),
+    "repro.faults.soak": (soak.main, ["--seeds", "1"]),
 }
 
 

@@ -1,10 +1,13 @@
 """Self-consistency checks between the documentation and the code.
 
 A reproduction's docs rot silently; these tests keep DESIGN.md,
-docs/paper_map.md and the README honest against the actual tree.
+docs/paper_map.md, the README and the other operator-facing files
+honest against the actual tree.
 """
 
+import glob
 import importlib
+import importlib.util
 import os
 import re
 
@@ -40,6 +43,36 @@ def _unresolved(text):
         if target is None:
             unresolved.append(dotted)
     return unresolved
+
+
+def _commands(text):
+    return set(re.findall(r"python3? -m (repro(?:\.\w+)*)", text))
+
+
+def _not_runnable(text):
+    """The ``python -m repro...`` targets in ``text`` that would not run:
+    no such module, or a package without a ``__main__``."""
+    broken = []
+    for module in sorted(_commands(text)):
+        try:
+            spec = importlib.util.find_spec(module)
+            if spec is not None and spec.submodule_search_locations:
+                spec = importlib.util.find_spec(module + ".__main__")
+        except ImportError:
+            spec = None
+        if spec is None:
+            broken.append(module)
+    return broken
+
+
+#: the files an operator reads for module names and commands: the
+#: README, CONTRIBUTING, docs/, the CI workflow and the skill notes
+OPERATOR_FILES = sorted(
+    ["README.md", "CONTRIBUTING.md"]
+    + [os.path.relpath(path, ROOT) for pattern in (
+        ("docs", "*.md"), (".github", "workflows", "ci.yml"),
+        (".*", "skills", "*", "SKILL.md"))
+       for path in glob.glob(os.path.join(ROOT, *pattern))])
 
 
 def _missing_test_files(text):
@@ -102,6 +135,24 @@ class TestReadme:
         import repro
         assert hasattr(repro, "System")
         assert hasattr(repro, "GuestOwner")
+
+
+class TestOperatorFiles:
+    @pytest.mark.parametrize("path", OPERATOR_FILES)
+    def test_every_referenced_module_resolves(self, path):
+        assert _unresolved(_read(path)) == []
+
+    @pytest.mark.parametrize("path", OPERATOR_FILES)
+    def test_every_python_m_command_runs_a_module(self, path):
+        assert _not_runnable(_read(path)) == []
+
+    def test_the_checks_see_the_commands(self):
+        # a broken pattern must not pass every file vacuously
+        commands = set().union(*(_commands(_read(p))
+                                 for p in OPERATOR_FILES))
+        assert {"repro.analysis", "repro.eval", "repro.faults.soak",
+                "repro.faults.bisect",
+                "repro.checkpoint.oracle"} <= commands
 
 
 class TestExamplesAreImportable:
