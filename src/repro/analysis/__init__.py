@@ -12,7 +12,7 @@ Entry points:
   script) — human or ``--format json`` output, ``--strict`` for CI,
   ``--jobs N`` to shard the run through ``repro.runner`` (digest
   byte-identical to serial), ``--state-report state.json`` for the
-  snapshot-state inventory artifact.
+  module-state inventory artifact.
 * Library / pytest: :func:`repro.analysis.analyze` returns an
   :class:`~repro.analysis.engine.AnalysisResult`; the test suite runs
   it over the live tree (``tests/analysis/``).

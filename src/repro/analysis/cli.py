@@ -71,7 +71,7 @@ def build_parser():
                              "docstring) plus a fixed example, and exit; "
                              "'all' explains every registered rule")
     parser.add_argument("--state-report", default=None, metavar="PATH",
-                        help="write the snapshot-state inventory "
+                        help="write the module-state inventory "
                              "(registered/unregistered/stale module-global "
                              "mutables, see FID014) as JSON and exit; "
                              "non-zero if anything is unregistered or "
@@ -139,8 +139,7 @@ def main(argv=None):
 
 
 def _write_state_report(root, path):
-    """The machine-readable snapshot-state inventory (FID014's view),
-    the seed artifact for deterministic snapshot/restore."""
+    """The machine-readable module-state inventory (FID014's view)."""
     from repro.analysis.rules.state_inventory import inventory
     project = Project.load(root)
     registered, unregistered, stale = inventory(project)

@@ -1,10 +1,10 @@
 """Interprocedural effect summaries: who mutates what, who draws what.
 
-The determinism story (byte-identical sharded merges, replayable soaks,
-the planned snapshot/restore) is a claim about *effects*: a function
-handed to the sharded runner must not mutate process-global state the
-restore path does not know about, must not draw ambient entropy, and
-must not read the host clock into modelled results.  This module
+The determinism story (byte-identical sharded merges, replayable soaks)
+is a claim about *effects*: a function handed to the sharded runner
+must not mutate process-global state the module-state registry does
+not know about, must not draw ambient entropy, and must not read the
+host clock into modelled results.  This module
 computes, for every indexed function, an :class:`EffectSummary` —
 
 * ``writes`` / ``reads`` — module-global bindings mutated / read,

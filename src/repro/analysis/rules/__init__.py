@@ -15,15 +15,14 @@ FID010 secret-taint      decrypted data sanitized before host-visible sinks
 FID011 gate-typestate    every gate _enter matched by _exit on all paths
 FID012 path-cycle-accounting  every working repro.hw path charges cycles
 FID013 shard-purity      runner work units transitively effect-clean
-FID014 state-inventory   module-global mutables registered for snapshot
+FID014 state-inventory   module-global mutables registered and classified
 FID015 entropy-flow      ambient entropy never reaches seeds or state
-FID016 checkpoint-completeness  restore() resets every derived cache
 
 FID010–FID012 are flow-sensitive: they run over the shared dataflow
 layer (:mod:`repro.analysis.dataflow`) instead of bare AST matching.
-FID013–FID016 additionally use the interprocedural call-graph and
+FID013–FID015 additionally use the interprocedural call-graph and
 effect-summary engine (:mod:`repro.analysis.dataflow.effects`) and the
-snapshot-state manifest (:mod:`repro.common.state_registry`).
+module-state registry (:mod:`repro.common.state_registry`).
 """
 
 from repro.analysis.rules import (  # noqa: F401
@@ -42,5 +41,4 @@ from repro.analysis.rules import (  # noqa: F401
     shard_purity,
     state_inventory,
     entropy_flow,
-    checkpoint_completeness,
 )

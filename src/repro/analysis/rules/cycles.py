@@ -32,10 +32,6 @@ ALLOWLIST = {
     # not bus transactions.
     "repro.hw.memory:PhysicalMemory.write": "below the timing model",
     "repro.hw.memory:PhysicalMemory.write_frame": "below the timing model",
-    "repro.hw.memory:PhysicalMemory.import_frames":
-        "checkpoint restore path; below the timing model",
-    "repro.hw.memory:PhysicalMemory.detached_frames":
-        "checkpoint serialization scaffolding; below the timing model",
     "repro.hw.memory:PhysicalMemory.zero_frame": "below the timing model",
     "repro.hw.memory:FrameAllocator.alloc": "allocator bookkeeping is free "
                                             "(real Xen's is off hot paths)",

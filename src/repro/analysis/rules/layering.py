@@ -4,7 +4,7 @@ The simulator is a strict stack —
 
     common(0) < hw/runner(1) < sev(2) < xen(3) < core(4)
              < system/workloads(5) < cloud(6) < fleet(7)
-             < eval/checkpoint(8) < faults(9) < analysis(10)
+             < eval(8) < faults(9) < analysis(10)
 
 — and a module may import only *strictly lower* layers (or its own
 subpackage).  Two special cases: ``repro.attacks`` may import anything
@@ -38,10 +38,6 @@ LAYERS = {
     # EventQueue) reach down into it from above.
     "fleet": 7,
     "eval": 8,
-    # The serializer sits beside eval: it sees whole systems and clouds
-    # (layer 7 and below) but neither imports eval nor is imported by
-    # it; faults sits above so the chaos soak can save its progress.
-    "checkpoint": 8,
     # The chaos subsystem sits above everything it arms (it drives the
     # whole fleet plus the eval checks), so its bisector calls the soak
     # directly; FID009 separately guarantees nothing imports it back.

@@ -1,11 +1,10 @@
 """FID001: the raw-memory capability (static twin of invariant I3).
 
-Only the hardware layer (``repro.hw``), the adversary simulations
+Only the hardware layer (``repro.hw``) and the adversary simulations
 (``repro.attacks``, which model exactly the accesses Fidelius must
-defeat) and the serializer (``repro.checkpoint``, which moves DRAM
-ciphertext wholesale) may touch physical frames directly.  Everything
-else must go through the memory controller / CPU paths, where
-encryption and cycle accounting live.  The sanctioned exceptions in core (the binary scanner,
+defeat) may touch physical frames directly.  Everything else must go
+through the memory controller / CPU paths, where encryption and cycle
+accounting live.  The sanctioned exceptions in core (the binary scanner,
 the integrity measurer, boot-time construction of PIT/GIT/NPT frames)
 carry inline ``fidelint: ignore`` justifications.
 """
@@ -16,19 +15,14 @@ from repro.analysis.astutil import dotted_name, receiver_token
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 
-RAW_METHODS = frozenset({"read_frame", "write_frame", "zero_frame", "dump",
-                         "export_frames", "import_frames",
-                         "detached_frames"})
+RAW_METHODS = frozenset({"read_frame", "write_frame", "zero_frame", "dump"})
 MEMORY_TOKENS = frozenset({"memory", "_memory"})
-#: repro.checkpoint holds the raw capability by design: it serializes
-#: DRAM ciphertext wholesale, below any encryption or timing semantics.
-ALLOWED_SUBPACKAGES = frozenset({"hw", "attacks", "checkpoint"})
+ALLOWED_SUBPACKAGES = frozenset({"hw", "attacks"})
 
 
 @rule("FID001", "raw-memory", Severity.ERROR,
       "Raw physical-frame access (read_frame/write_frame/zero_frame/dump "
-      "or PhysicalMemory._data) outside repro.hw, repro.attacks "
-      "and repro.checkpoint.",
+      "or PhysicalMemory._data) outside repro.hw and repro.attacks.",
       example="""
       # BAD (in repro.xen.*): bypasses the memory controller entirely
       data = memory.read_frame(pfn)

@@ -1,6 +1,6 @@
 """FID013: shard-purity — work handed to the runner must be effect-clean.
 
-The sharded runner's contract (``docs/runner.md``, the parallel
+The sharded runner's contract (``docs/performance.md``, the parallel
 equivalence soak) is that a ``jobs=N`` run aggregates to *byte-identical*
 results with the serial run.  That holds only if every function
 submitted as a :class:`~repro.runner.plan.WorkUnit` is transitively
@@ -11,7 +11,7 @@ free of the effects process boundaries do not replicate:
   registered ``derived-cache``/``counters`` binding is legal **only**
   when its :mod:`~repro.common.state_registry` entry names a
   ``reset`` callable (the keystream caches are fine *because*
-  ``clear_keystream_cache`` exists and restore/workers can invoke it);
+  ``clear_keystream_cache`` exists and workers can invoke it);
   writing a ``constant``-classified binding is always a bug;
 * **ambient entropy** — unseeded RNG draws diverge per worker;
 * **host clock reads** — legal only in the allowlisted timing-only
@@ -122,8 +122,8 @@ def check(module, project):
                 yield _finding(
                     module, call.lineno,
                     "shard function %s mutates %s.%s (%s) which has no "
-                    "registered reset: add one so workers and "
-                    "snapshot-restore can clear it"
+                    "registered reset: add one so workers can clear "
+                    "it"
                     % (label, gmod, gname, entry.classification))
         for qual, desc, lineno in sorted(summary.rng):
             yield _finding(

@@ -1,26 +1,27 @@
-"""FID014: snapshot-state inventory — no anonymous module-global state.
+"""FID014: module-state inventory — no anonymous module-global state.
 
-Snapshot/restore (ROADMAP item 5) can only be *provably* complete if
-the set of process-global mutable bindings in the simulator core is a
-closed, audited list.  This rule makes the list self-maintaining:
-every module-level mutable binding in ``repro.hw`` / ``repro.sev`` /
-``repro.core`` / ``repro.common`` — container displays, mutable
-constructor calls (``dict()``, ``OrderedDict()``...), and scalars
-rebound through ``global`` — must have a
-:mod:`~repro.common.state_registry` entry carrying one of the four
-restore classifications (``derived-cache``, ``counters``, ``rng``,
-``constant``), and every registry entry must still match a real
-binding (stale entries fire on the registry module itself, so the
-manifest cannot rot).
+Shard purity (FID013) and the benchmark's fresh-interpreter set-ups
+can only be trusted if the set of process-global mutable bindings in
+the simulator core is a closed, audited list.  This rule makes the list
+self-maintaining: every module-level mutable binding in ``repro.hw`` /
+``repro.sev`` / ``repro.core`` / ``repro.common`` (and ``repro.cloud``
+/ ``repro.fleet``) — container displays, mutable constructor calls
+(``dict()``, ``OrderedDict()``...), and scalars rebound through
+``global`` — must have a :mod:`~repro.common.state_registry` entry
+carrying one of the four classifications (``derived-cache``,
+``counters``, ``rng``, ``constant``), and every registry entry must
+still match a real binding (stale entries fire on the registry module
+itself, so the manifest cannot rot).
 
-A ``reset`` annotation, when present, must name a function defined in
-the registered module — it is the hook FID013 accepts for shard-legal
-caches and the hook restore will call.
+Every ``derived-cache`` entry must name a ``reset``, and a ``reset``
+must name a function defined in the registered module: it is the hook
+FID013 accepts for shard-legal caches and the one the benchmark calls
+to empty every cache before a set-up.
 
 ``fidelint --state-report state.json`` emits the merged inventory
-(registered + unregistered + stale) as the machine-readable seed
-artifact for the snapshot work; CI uploads it and fails on any
-unregistered binding via the strict FID014 step.
+(registered + unregistered + stale) as a machine-readable artifact;
+CI uploads it and fails on any unregistered binding via the strict
+FID014 step.
 """
 
 import ast
@@ -30,9 +31,9 @@ from repro.analysis.dataflow.effects import module_mutable_globals
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 
-#: the packages restore must be able to rebuild exactly ("cloud" and
-#: "fleet" ride along so the control plane's placement-policy table,
-#: and any table the fleet model grows, is inventoried like the others)
+#: the simulator core ("cloud" and "fleet" ride along so the control
+#: plane's placement-policy table, and any table the fleet model grows,
+#: is inventoried like the others)
 SCOPED_SUBPACKAGES = frozenset({"hw", "sev", "core", "common", "cloud",
                                 "fleet"})
 
@@ -90,9 +91,10 @@ def _reset_defined(project, entry):
 @rule("FID014", "state-inventory", Severity.ERROR,
       "Every module-level mutable binding in repro.hw/sev/core/common "
       "must be registered in repro.common.state_registry with a "
-      "restore classification; stale entries fail too.",
+      "classification, and every derived-cache entry must name a "
+      "reset; stale entries fail too.",
       example="""
-      # BAD: anonymous module-global cache — restore cannot know it
+      # BAD: anonymous module-global cache — no reset can reach it
       _TLB_SCRATCH = {}
       # GOOD: register it (repro/common/state_registry.py):
       #   ("repro.hw.tlb", "_TLB_SCRATCH", "derived-cache",
@@ -107,9 +109,16 @@ def check(module, project):
                 yield _finding(
                     module, lineno,
                     "module-level mutable binding %r (%s) is not in the "
-                    "snapshot-state registry: classify it in "
+                    "module-state registry: classify it in "
                     "repro.common.state_registry (derived-cache / "
                     "counters / rng / constant)" % (name, kind))
+            elif entry.classification == "derived-cache" \
+                    and not entry.reset:
+                yield _finding(
+                    module, lineno,
+                    "registry entry for derived cache %r names no reset: "
+                    "add the module-level function that empties it"
+                    % name)
             elif entry.reset and not _reset_defined(project, entry):
                 yield _finding(
                     module, lineno,

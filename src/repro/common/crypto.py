@@ -364,9 +364,9 @@ class ChainDigest:
     ``extend(chunk)`` advances ``state = SHA256(state || chunk)``.  Both
     sides of a stream compute the same chain, so it serves the same
     integrity role as a running ``hashlib`` object — but its entire
-    state is 32 picklable bytes, which ``repro.checkpoint`` needs to
-    serialize SEV contexts frozen mid-SEND/RECEIVE (the s-dom/r-dom
-    helper domains live permanently in those states).
+    state is 32 plain bytes, so an SEV context frozen mid-SEND/RECEIVE
+    (the s-dom/r-dom helper domains live permanently in those states)
+    stays picklable and comparable.
     """
 
     EMPTY = bytes(32)

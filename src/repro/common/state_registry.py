@@ -1,19 +1,20 @@
-"""The module-global state registry: the snapshot/restore inventory.
+"""The module-global state registry: the audited inventory of
+process-global mutable state.
 
-Deterministic snapshot/restore (ROADMAP item 5) needs one thing before
-any serializer can be written: a *complete, audited list* of every
+Byte-identical sharded runs need a *complete, audited list* of every
 piece of module-level mutable state in the simulator core, with a
-classification that says what restore must do about it —
+classification that says what a reused worker process must do about
+it —
 
 ``derived-cache``
-    Recomputable from durable state; restore may simply drop it, and a
-    sharded worker may keep it **only** because the registered
-    ``reset`` callable empties it (FID013 checks the annotation).
+    Recomputable from durable state; a sharded worker may keep it
+    **only** because the registered ``reset`` callable empties it
+    (FID014 requires the annotation, FID013 relies on it).
 ``counters``
     Diagnostic tallies; excluded from determinism digests, cleared by
     the same ``reset`` as the cache they describe.
 ``rng``
-    Seeded generator state; restore must re-seed, never copy.
+    Seeded generator state; re-seed it, never copy it.
 ``constant``
     Built once at import and never mutated afterwards; a shard
     function that *writes* one is a bug wherever it happens.
@@ -22,21 +23,19 @@ FID014 enforces that every module-level mutable binding in
 ``repro.hw`` / ``repro.sev`` / ``repro.core`` / ``repro.common`` (and
 ``repro.cloud`` / ``repro.fleet``) appears here (and that no entry goes
 stale), and ``fidelint --state-report`` emits the merged inventory as
-the machine-readable seed artifact for the snapshot work.
+a machine-readable artifact.
 
 This manifest is *data about* the tree, matched purely syntactically —
 nothing here imports the modules it describes.  It lives in
-``repro.common`` (layer 0) because it has two consumers on opposite
-ends of the stack: the fidelint effect rules (FID013/FID014/FID016)
-read it for enforcement, and ``repro.checkpoint`` hashes it into every
-manifest (:func:`repro.checkpoint.snapshot.registry_fingerprint`) so a
-checkpoint written against one state inventory fails closed when
-loaded under another.
+``repro.common`` (layer 0) so that any layer may read it: the fidelint
+effect rules (FID013/FID014) read it for enforcement, and the
+end-to-end benchmark (``e2ebench/``) calls every registered ``reset``
+before each set-up, so each starts from a fresh interpreter's state.
 """
 
 from collections import namedtuple
 
-#: the restore-semantics classes FID014 accepts
+#: the classifications FID014 accepts
 CLASSIFICATIONS = frozenset({
     "derived-cache", "counters", "rng", "constant",
 })

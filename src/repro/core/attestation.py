@@ -69,8 +69,7 @@ class QuoteVerifier:
     """Signature-verification oracle for one authority's quotes.
 
     A plain class rather than a closure so a :class:`RemoteVerifier`
-    holding it stays picklable (``repro.checkpoint`` serializes whole
-    clouds, verifiers included).  It never exposes the quote key: the
+    holding it stays picklable.  It never exposes the quote key: the
     oracle recomputes the MAC inside the authority and compares.
     """
 

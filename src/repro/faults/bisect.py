@@ -16,15 +16,26 @@ limit), **params)`` replays.
 """
 
 import json
+import sys
 
-from repro.checkpoint.store import atomic_write
 from repro.common.errors import ReproError
 from repro.faults.inject import FireWindow
-from repro.faults.soak import run_scenario
+from repro.faults.soak import atomic_write, run_scenario
 from repro.runner import int_at_least
 
 #: Artifact format version.
 ARTIFACT_SCHEMA = "fidelius-bisect/2"
+
+
+def failed_op_name(predicate):
+    """The op a ``failed-op:<name>`` predicate names; None for
+    ``violations``.  Any other predicate raises :class:`ReproError`."""
+    if predicate == "violations":
+        return None
+    if predicate.startswith("failed-op:"):
+        return predicate[len("failed-op:"):]
+    raise ReproError("unknown bisect predicate %r: expected 'violations' "
+                     "or 'failed-op:<name>'" % predicate)
 
 
 def predicate_holds(predicate, result):
@@ -34,12 +45,10 @@ def predicate_holds(predicate, result):
     named workload op raised (useful for pinning down which fault made
     an operation fail cleanly when the run is otherwise violation-free).
     """
-    if predicate == "violations":
+    name = failed_op_name(predicate)
+    if name is None:
         return bool(result.violations)
-    if predicate.startswith("failed-op:"):
-        name = predicate[len("failed-op:"):]
-        return any(op == name for op, _ in result.failed_ops)
-    raise ReproError("unknown bisect predicate %r" % predicate)
+    return any(op == name for op, _ in result.failed_ops)
 
 
 def bisect_fault_window(seed, predicate="violations", **scenario_kwargs):
@@ -51,6 +60,7 @@ def bisect_fault_window(seed, predicate="violations", **scenario_kwargs):
     artifact is emitted, so a non-monotone schedule can fail the
     bisection but never yield a false artifact.
     """
+    failed_op_name(predicate)     # refuse an unknown predicate up front
     trials = 0
 
     def trial(skip, limit):
@@ -114,6 +124,11 @@ def write_artifact(artifact, path):
     atomic_write(path, payload)
 
 
+def _refuse(parser, exc, status):
+    print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+    return status
+
+
 def main(argv=None):
     import argparse
     parser = argparse.ArgumentParser(
@@ -130,9 +145,16 @@ def main(argv=None):
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the artifact JSON here")
     args = parser.parse_args(argv)
-    artifact = bisect_fault_window(
-        args.seed, predicate=args.predicate,
-        hosts=args.hosts, tenants=args.tenants, nfaults=args.nfaults)
+    try:
+        failed_op_name(args.predicate)
+    except ReproError as exc:
+        return _refuse(parser, exc, 2)
+    try:
+        artifact = bisect_fault_window(
+            args.seed, predicate=args.predicate,
+            hosts=args.hosts, tenants=args.tenants, nfaults=args.nfaults)
+    except ReproError as exc:
+        return _refuse(parser, exc, 1)
     print("seed=%d predicate=%s window=[%d,%d) of %d events, %d trials"
           % (artifact["seed"], artifact["predicate"],
              artifact["window"]["skip"], artifact["window"]["limit"],

@@ -30,26 +30,23 @@ cancelled migration really leaves the source RUNNING) and runs the full
 :func:`repro.core.invariants.check_invariants` audit on every host.
 
 Crash resumability (``--checkpoint-dir`` / ``--resume``): a long soak
-saves its completed-seed results through :mod:`repro.checkpoint` into a
-*progress* store every ``--checkpoint-every`` seeds.  A killed soak
-resumed from that store re-runs at most the chunk the kill interrupted,
-and its report and digest are byte-identical to the uninterrupted run;
-CI's ``resume-equivalence`` job SIGKILLs a 20-seed soak at seed 10,
-resumes it at ``--jobs 2`` and holds us to that.
+saves its completed-seed results into one verified *progress* file
+every ``--checkpoint-every`` seeds.  A killed soak resumed from that
+file re-runs at most the chunk the kill interrupted, and its report and
+digest are byte-identical to the uninterrupted run; CI's
+``resume-equivalence`` job SIGKILLs a 20-seed soak at seed 10, resumes
+it at ``--jobs 2`` and holds us to that.
 """
 
+import hashlib
 import json
 import os
+import pickle
 import random
 import signal
+import sys
 from dataclasses import dataclass, field
 
-from repro.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    restore,
-    snapshot,
-)
 from repro.cloud import Cloud
 from repro.common.errors import ReproError
 from repro.core.invariants import check_invariants
@@ -70,8 +67,8 @@ from repro.xen import hypercalls as hc
 #: The fixed seed set CI soaks over (acceptance floor: 20 seeds).
 DEFAULT_SEEDS = tuple(range(20))
 
-#: Manifest kind of the progress store.
-PROGRESS_KIND = "soak-progress"
+#: Schema tag of the progress file: bump on any incompatible change.
+PROGRESS_SCHEMA = "fidelius-soak-progress/1"
 
 #: The workload profiles: how the schedule fills its migration phase.
 PROFILES = ("classic", "fleet")
@@ -315,32 +312,102 @@ def results_digest(results):
 # -- resumable sweeps ------------------------------------------------------------
 
 
-def _progress_store(checkpoint_dir):
-    return CheckpointStore(os.path.join(checkpoint_dir, "progress"))
+class CheckpointError(ReproError):
+    """Soak progress could not be written, found, or verified."""
 
 
-def _write_progress(store, results, next_index, params):
-    payload = {"results": list(results), "next_index": next_index,
-               "params": params}
-    manifest = snapshot(payload, store, kind=PROGRESS_KIND, machines=[],
-                        meta={"next_index": next_index})
-    store.commit(manifest)
+def _fsync_dir(path):
+    # POSIX requires the directory fsync for the rename to be durable;
+    # platforms that refuse O_RDONLY fsync on directories lose only
+    # durability, never atomicity.
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path, data):
+    """Write ``data`` to ``path`` so a crash leaves old-or-new, never torn.
+
+    The bytes land in a temporary file in the same directory, are
+    fsynced, and become visible only through ``os.replace``; the
+    directory is fsynced last so the rename itself is durable.
+    """
+    directory = os.path.dirname(path) or "."
+    tmp = os.path.join(directory, ".tmp.%d.%s" % (os.getpid(),
+                                                  os.path.basename(path)))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    _fsync_dir(directory)
+
+
+def write_progress(path, progress):
+    """Atomically replace the progress file at ``path``.
+
+    The file is one header line, ``<PROGRESS_SCHEMA> <sha256 of the
+    body>``, followed by the pickled ``progress`` as the body.
+    """
+    body = pickle.dumps(progress, protocol=4)
+    header = "%s %s\n" % (PROGRESS_SCHEMA, hashlib.sha256(body).hexdigest())
+    atomic_write(path, header.encode() + body)
+
+
+def read_progress(path):
+    """The progress stored at ``path``, or None if there is no file.
+
+    Fails closed: anything else that cannot be read, or whose schema
+    tag or SHA-256 does not check out, raises :class:`CheckpointError`
+    before a byte of it is unpickled.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise CheckpointError("cannot read soak progress %s: %s"
+                              % (path, exc.strerror))
+    header, newline, body = data.partition(b"\n")
+    fields = header.split(b" ")
+    if not newline or len(fields) != 2 \
+            or fields[0] != PROGRESS_SCHEMA.encode():
+        raise CheckpointError("%s is not %s soak progress"
+                              % (path, PROGRESS_SCHEMA))
+    if fields[1] != hashlib.sha256(body).hexdigest().encode():
+        raise CheckpointError("soak progress %s fails its SHA-256 check"
+                              % path)
+    return pickle.loads(body)
 
 
 def resumable_soak(seeds, checkpoint_dir, every_seeds=5, resume=False,
                    jobs=1, sigkill_after=None, **scenario_kwargs):
     """A seed sweep that survives being killed at any instant.
 
-    Completed-seed results are checkpointed into
-    ``<checkpoint_dir>/progress`` every ``every_seeds`` seeds (0: once,
-    at the end).  With ``resume=True`` the sweep continues from the
-    first seed the store does not hold, and the final result list is
-    byte-identical to an uninterrupted run.
+    Completed-seed results are saved to ``<checkpoint_dir>/progress``
+    every ``every_seeds`` seeds (0: once, at the end).  With
+    ``resume=True`` the sweep continues from the first seed the file
+    does not hold, and the final result list is byte-identical to an
+    uninterrupted run.
 
     A directory that already holds progress **requires** ``resume=True``
-    (fail closed: silently restarting over live checkpoints would make
-    two different runs claim the same store).  ``sigkill_after`` forces
-    a progress checkpoint after that many seeds and then SIGKILLs this
+    (fail closed: silently restarting over live progress would make
+    two different runs claim the same file).  ``sigkill_after`` forces
+    a progress write after that many seeds and then SIGKILLs this
     process — the hook CI's resume-equivalence job interrupts with.
     """
     if every_seeds < 0:
@@ -348,26 +415,22 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, resume=False,
                          "got %d" % every_seeds)
     seeds = list(seeds)
     params = dict(_scenario_params(**scenario_kwargs), seeds=seeds)
-    store = _progress_store(checkpoint_dir)
+    path = os.path.join(checkpoint_dir, "progress")
     results, start = [], 0
-    manifest = store.latest()
-    if manifest is not None:
+    progress = read_progress(path)
+    if progress is not None:
         if not resume:
             raise CheckpointError(
                 "checkpoint dir %r already holds soak progress; pass "
                 "--resume to continue it or point at a fresh directory"
                 % checkpoint_dir)
-        if manifest.get("kind") != PROGRESS_KIND:
-            raise CheckpointError(
-                "checkpoint kind %r is not soak progress"
-                % manifest.get("kind"))
-        payload = restore(manifest, store, machines_of=lambda p: [])
-        if payload["params"] != params:
+        if progress["params"] != params:
             raise CheckpointError(
                 "checkpoint parameters %r do not match this run's %r: "
-                "refusing to resume" % (payload["params"], params))
-        results = payload["results"]
-        start = payload["next_index"]
+                "refusing to resume" % (progress["params"], params))
+        results = progress["results"]
+        start = progress["next_index"]
+    os.makedirs(checkpoint_dir, exist_ok=True)
 
     index = start
     while index < len(seeds):
@@ -379,7 +442,8 @@ def resumable_soak(seeds, checkpoint_dir, every_seeds=5, resume=False,
                              **scenario_kwargs)
         results.extend(report.values())
         index = stop
-        _write_progress(store, results, index, params)
+        write_progress(path, {"results": results, "next_index": index,
+                              "params": params})
         if sigkill_after is not None and index >= sigkill_after:
             os.kill(os.getpid(), signal.SIGKILL)
     return results
@@ -434,6 +498,9 @@ def main(argv=None):
     elif args.bench_json:
         parser.error("--bench-json times an uninterrupted sweep; it "
                      "cannot be combined with --checkpoint-dir")
+    elif args.sigkill_after is not None and args.sigkill_after > args.seeds:
+        parser.error("--sigkill-after %d is past the last of --seeds %d"
+                     % (args.sigkill_after, args.seeds))
     scenario_kwargs = {"hosts": args.hosts, "tenants": args.tenants,
                        "nfaults": args.nfaults}
     if args.fleet_profile:
@@ -441,11 +508,15 @@ def main(argv=None):
                                migrations=args.fleet_migrations)
     report = None
     if args.checkpoint_dir is not None:
-        results = resumable_soak(
-            range(args.seeds), args.checkpoint_dir,
-            every_seeds=args.checkpoint_every, resume=args.resume,
-            jobs=args.jobs, sigkill_after=args.sigkill_after,
-            **scenario_kwargs)
+        try:
+            results = resumable_soak(
+                range(args.seeds), args.checkpoint_dir,
+                every_seeds=args.checkpoint_every, resume=args.resume,
+                jobs=args.jobs, sigkill_after=args.sigkill_after,
+                **scenario_kwargs)
+        except CheckpointError as exc:
+            print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+            return 2
     else:
         report = soak_report(range(args.seeds), jobs=args.jobs,
                              **scenario_kwargs)

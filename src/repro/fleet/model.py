@@ -323,7 +323,7 @@ class FleetModel(ControlPlane):
         a pure function of (guest name, key epoch), so two hydrations
         of the same model state are identical.  The system is cached
         until :meth:`dehydrate`; hydration is a diagnostic view and is
-        therefore never part of the model's digest or its checkpoints
+        therefore never part of the model's digest or its pickled state
         (see ``__getstate__``).
         """
         self._check_index(index)

@@ -7,7 +7,6 @@ host (``repro.core.fidelius``).  The full assembled stack lives in
 ``repro.system``.
 """
 
-import hashlib
 import random
 
 from repro.common.constants import (
@@ -83,31 +82,6 @@ class Machine:
     def cold_boot_dump(self):
         """What a physical attacker sees: the raw DRAM contents."""
         return self.memory.dump()
-
-    def state_digest(self):
-        """SHA-256 over the machine's canonical architectural state.
-
-        DRAM contents, the cycle ledger (total plus per-reason buckets
-        and event counts), TLB entries/counters and the memory
-        controller's key slots and plaintext cache all enter the hash.
-        Two machines with equal digests are behaviorally
-        indistinguishable to everything above the hardware layer —
-        the lockstep criterion of the restore-equivalence oracle
-        (``repro.checkpoint.oracle``).  RNG state is deliberately out:
-        it is compared structurally (``rng.getstate()``), not hashed.
-        """
-        h = hashlib.sha256()
-        for pfn, raw in self.memory.export_frames():
-            h.update(b"frame|%d|" % pfn)
-            h.update(raw)
-        h.update(b"cycles|%d|" % self.cycles.total)
-        for reason in sorted(self.cycles.by_reason):
-            h.update(b"%s=%d,%d|" % (reason.encode(),
-                                     self.cycles.by_reason[reason],
-                                     self.cycles.events[reason]))
-        h.update(b"tlb|" + self.tlb.state_fingerprint().encode())
-        h.update(b"memctrl|" + self.memctrl.state_fingerprint().encode())
-        return h.hexdigest()
 
     def perf_stats(self):
         """Simulator fast-path diagnostics (wall-clock only, never cycles).

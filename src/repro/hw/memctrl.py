@@ -185,24 +185,6 @@ class MemoryController:
     def cached_lines(self):
         return set(self._cache)
 
-    def state_fingerprint(self):
-        """SHA-256 over the controller's architectural state.
-
-        Covers the installed key slots (hashed — the fingerprint must
-        never expose key bytes) and the plaintext line cache in LRU
-        order.  Restore-equivalence digests compare this across a
-        machine and its restored twin; the wall-clock diagnostics stay
-        out, matching their no-architectural-meaning contract.
-        """
-        h = hashlib.sha256()
-        for asid in sorted(self._slots):
-            h.update(b"slot|%d|" % asid)
-            h.update(hashlib.sha256(self._slots[asid]).digest())
-        for line_pa, line in self._cache.items():
-            h.update(b"line|%d|" % line_pa)
-            h.update(line)
-        return h.hexdigest()
-
     # -- encrypted data path --------------------------------------------------
 
     def _charge_transfer(self, length, encrypted, reason):

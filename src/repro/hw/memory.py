@@ -7,8 +7,6 @@ of Section 6.1 — it returns whatever an attacker with physical access
 would see.
 """
 
-import contextlib
-
 from repro.common.constants import PAGE_SHIFT, PAGE_SIZE
 from repro.common.errors import PhysicalMemoryError
 from repro.common.types import frame_addr, page_offset, pfn_of
@@ -102,48 +100,6 @@ class PhysicalMemory:
     def dump(self):
         """Cold-boot snapshot: the raw contents of every touched frame."""
         return {pfn: bytes(frame) for pfn, frame in self._data.items()}
-
-    # -- canonical state export (repro.checkpoint) --------------------------------
-
-    def export_frames(self):
-        """Touched frames as canonical ``(pfn, bytes)`` pairs, sorted.
-
-        The checkpoint layer's page-granular view: each page is hashed
-        and stored as one content-addressed chunk, so unchanged pages
-        dedup across successive checkpoints.
-        """
-        return [(pfn, bytes(self._data[pfn])) for pfn in sorted(self._data)]
-
-    def import_frames(self, pairs):
-        """Replace the entire DRAM contents with ``(pfn, bytes)`` pairs."""
-        data = {}
-        for pfn, raw in pairs:
-            if not 0 <= pfn < self.frames:
-                raise PhysicalMemoryError(
-                    "imported frame %#x out of range" % pfn)
-            if len(raw) != PAGE_SIZE:
-                raise PhysicalMemoryError(
-                    "imported frame %#x is %d bytes, not one page"
-                    % (pfn, len(raw)))
-            data[pfn] = bytearray(raw)
-        self._data = data
-
-    @contextlib.contextmanager
-    def detached_frames(self):
-        """Temporarily detach the DRAM backing store.
-
-        Yields the live ``{pfn: bytearray}`` dict while the memory
-        object itself holds an empty one — so the checkpointer can
-        pickle the surrounding object graph *without* the page payload
-        (pages travel as content-addressed chunks instead), then the
-        frames snap back on exit whatever happened in between.
-        """
-        detached = self._data
-        self._data = {}
-        try:
-            yield detached
-        finally:
-            self._data = detached
 
 
 class FrameAllocator:

@@ -33,7 +33,6 @@ starts cold without anyone paying INVLPG for entries the old host
 owned; it is the hardware-side twin of ``GuestLedger.tlb_epoch``.)
 """
 
-import hashlib
 from collections import OrderedDict
 
 from repro.common.constants import TLB_ENTRY_FLUSH_CYCLES
@@ -157,15 +156,6 @@ class Tlb:
         for (root_pfn, vpn), (epoch, translation) in self._entries.items():
             if epoch == epochs.get(root_pfn, 0):
                 yield (root_pfn, vpn), translation
-
-    def state_fingerprint(self):
-        """SHA-256 over the TLB's live entries (LRU order) and counters."""
-        h = hashlib.sha256()
-        for (root_pfn, vpn), translation in self._live_items():
-            h.update(b"%d|%d|%r|" % (root_pfn, vpn, translation))
-        h.update(b"counters|%d|%d|%d" % (self.hits, self.misses,
-                                         self.evictions))
-        return h.hexdigest()
 
     def root_index_sizes(self):
         """root_pfn -> live-entry count (perfbench/diagnostics)."""

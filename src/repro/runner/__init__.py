@@ -12,7 +12,7 @@ results are re-sorted into submission order before merging, and
 and CI compare.
 
 Layering: the runner sits beside ``repro.hw`` at the bottom of the
-stack — it knows nothing about guests, fleets, attacks or checkpoints.
+stack — it knows nothing about guests, fleets, attacks or faults.
 Callers hand it module-level functions and picklable arguments; it
 hands back their results in a deterministic order, plus wall-clock
 counters for bench artifacts.

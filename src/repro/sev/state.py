@@ -46,8 +46,8 @@ class GuestSevContext:
         self.tek = None
         self.tik = None
         # Chained digests rather than live hashlib objects: their state
-        # is plain bytes, so a checkpoint can freeze a context that is
-        # mid-stream (see crypto.ChainDigest).
+        # is plain bytes, so a context that is mid-stream stays
+        # picklable (see crypto.ChainDigest).
         self._digest = ChainDigest()
         #: Running transport-integrity MAC input (send/receive streams).
         self._stream = ChainDigest()

@@ -59,8 +59,8 @@ class _NptTableAllocator:
     """``allocate_frame`` hook bound to one domain's NPT.
 
     A plain class (not a closure) so a live domain graph stays
-    picklable — ``repro.checkpoint`` serializes whole systems, and the
-    NPT holds this allocator for the lifetime of the domain.
+    picklable: the NPT holds this allocator for the lifetime of the
+    domain.
     """
 
     def __init__(self, hypervisor, domain):

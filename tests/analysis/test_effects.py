@@ -321,6 +321,30 @@ def test_state_registry_covers_every_scoped_mutable():
         ("repro.common.types", "PRIV_OPCODES")] == "constant"
 
 
+def test_fid014_requires_a_reset_on_every_derived_cache(tmp_path,
+                                                        monkeypatch):
+    # FID013 accepts a shard write to a derived cache only because its
+    # reset empties it, and the benchmark calls every reset before a
+    # set-up: an entry without one fires where the binding lives
+    root = _make_tree(tmp_path, {"common/memo.py": """\
+        _MEMO = {}
+
+
+        def clear_memo():
+            _MEMO.clear()
+        """})
+    from repro.common import state_registry
+    entry = ("repro.common.memo", "_MEMO")
+    for reset, fired in (("clear_memo", []), (None, ["repro.common.memo"])):
+        monkeypatch.setattr(state_registry, "REGISTRY", {
+            entry: state_registry.StateEntry(*entry, "derived-cache", reset,
+                                             "memo of a pure function")})
+        result = analyze(root, baseline_path=None, select=["FID014"])
+        assert [f.module for f in result.findings] == fired
+    assert "names no reset" in result.findings[0].message
+    assert result.findings[0].line_text == "_MEMO = {}"
+
+
 def test_state_report_cli_artifact(tmp_path, capsys):
     report_path = str(tmp_path / "state.json")
     assert main(["--root", SRC_ROOT, "--state-report", report_path]) == 0

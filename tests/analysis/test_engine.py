@@ -191,7 +191,7 @@ def test_cli_list_rules(capsys):
     for rule_id in ("FID001", "FID002", "FID003", "FID004",
                     "FID005", "FID006", "FID007", "FID008",
                     "FID009", "FID010", "FID011", "FID012",
-                    "FID013", "FID014", "FID015", "FID016"):
+                    "FID013", "FID014", "FID015"):
         assert rule_id in out
 
 
@@ -199,12 +199,12 @@ def test_cli_json_output_on_fixture_tree(capsys):
     rc = main(["--root", FIXTURE_ROOT, "--no-baseline", "--format", "json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["error"] == 12
+    assert payload["counts"]["error"] == 11
     assert payload["counts"]["warning"] == 4
-    # 16 bad modules + 9 package __init__ files
-    assert payload["counts"]["modules"] == 25
+    # 15 bad modules + 8 package __init__ files
+    assert payload["counts"]["modules"] == 23
     rules_seen = {f["rule"] for f in payload["findings"]}
-    assert len(rules_seen) == 16
+    assert len(rules_seen) == 15
     # the digest travels with the JSON payload for --jobs equivalence checks
     assert len(payload["digest"]) == 64
 

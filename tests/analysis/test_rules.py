@@ -3,7 +3,7 @@
 The fixture tree under ``fixtures/fixture_src`` is a miniature ``repro``
 package with one known-bad module per rule.  Every module is crafted to
 trigger its own rule exactly once and no other rule at all, so the whole
-tree yields exactly sixteen findings — one per rule.
+tree yields exactly fifteen findings — one per rule.
 """
 
 import os
@@ -31,7 +31,6 @@ EXPECTED = {
     "FID013": ("repro.eval.bad_shard", Severity.ERROR),
     "FID014": ("repro.hw.bad_snapshot_state", Severity.ERROR),
     "FID015": ("repro.core.bad_entropy", Severity.ERROR),
-    "FID016": ("repro.checkpoint.bad_restore", Severity.ERROR),
 }
 
 
@@ -58,9 +57,9 @@ def test_fixture_tree_yields_exactly_one_finding_per_rule():
 
 
 def test_fixture_tree_fails_even_without_strict():
-    # Twelve of the sixteen rules are errors, so plain mode already fails.
+    # Eleven of the fifteen rules are errors, so plain mode already fails.
     result = _fixture_result()
-    assert result.error_count == 12
+    assert result.error_count == 11
     assert result.warning_count == 4
     assert result.exit_code(strict=False) == 1
     assert result.exit_code(strict=True) == 1

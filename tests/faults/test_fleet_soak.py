@@ -15,8 +15,8 @@ import pickle
 
 import pytest
 
-from repro.checkpoint.store import CheckpointError
 from repro.faults.soak import (
+    CheckpointError,
     results_digest,
     resumable_soak,
     run_scenario,

@@ -5,11 +5,15 @@ The quick smoke runs on every test invocation; the full 20-seed sweep
 CI job: ``pytest -m soak``.
 """
 
+import os
+
 import pytest
 
+from repro.faults import bisect as bisect_cli
 from repro.faults import soak as soak_cli
 from repro.faults.soak import (
     DEFAULT_SEEDS,
+    SoakResult,
     results_digest,
     run_scenario,
     soak,
@@ -72,6 +76,9 @@ USAGE_ERRORS = {
     "sigkill-without-dir": (["--sigkill-after", "1"], "--sigkill-after"),
     "sigkill-after-0": (["--checkpoint-dir", "DIR", "--sigkill-after",
                          "0"], "--sigkill-after"),
+    "sigkill-after-past-seeds": (["--seeds", "2", "--checkpoint-dir", "DIR",
+                                  "--sigkill-after", "5"],
+                                 "--sigkill-after"),
     "bench-json-with-dir": (["--checkpoint-dir", "DIR", "--bench-json",
                              "PATH"], "--bench-json"),
     "zero-seeds": (["--seeds", "0"], "--seeds"),
@@ -99,6 +106,93 @@ class TestCli:
             soak_cli.main(argv)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+#: the soak run that leaves progress behind for the refusal cases
+SOAK_ARGV = ["--seeds", "1", "--hosts", "2", "--tenants", "1",
+             "--nfaults", "1", "--checkpoint-dir", "DIR"]
+
+
+def _argv(argv, directory):
+    return [directory if arg == "DIR" else arg for arg in argv]
+
+
+def _flip_last_byte(path):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+def _truncate(path):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:len(data) // 2])
+
+
+def _old_store_layout(path):
+    os.unlink(path)
+    os.makedirs(os.path.join(path, "manifests"))
+
+
+def _soaked(spoil=None):
+    """Run SOAK_ARGV into the case's DIR first, then ``spoil`` the
+    progress file it leaves."""
+    def prepare(directory, monkeypatch):
+        assert soak_cli.main(_argv(SOAK_ARGV, directory)) == 0
+        if spoil is not None:
+            spoil(os.path.join(directory, "progress"))
+    return prepare
+
+
+def _never_monotone(directory, monkeypatch):
+    # the failure reproduces only with every fault admitted, so the
+    # bisected window cannot reproduce it
+    def scenario(seed, window=None, **kwargs):
+        failed = [] if window is not None else [("launch:t0", "fault")]
+        return SoakResult(seed=seed, failed_ops=failed,
+                          schedule=b"a\nb\nc\n")
+    monkeypatch.setattr(bisect_cli, "run_scenario", scenario)
+
+
+#: case -> (CLI main, argv, what to run first, expected exit status)
+REFUSALS = {
+    "soak-progress-without-resume": (soak_cli.main, SOAK_ARGV, _soaked(),
+                                     2),
+    "soak-changed-params": (
+        soak_cli.main, SOAK_ARGV + ["--nfaults", "2", "--resume"],
+        _soaked(), 2),
+    "soak-flipped-byte": (soak_cli.main, SOAK_ARGV + ["--resume"],
+                          _soaked(_flip_last_byte), 2),
+    "soak-truncated": (soak_cli.main, SOAK_ARGV + ["--resume"],
+                       _soaked(_truncate), 2),
+    "soak-old-store-layout": (soak_cli.main, SOAK_ARGV + ["--resume"],
+                              _soaked(_old_store_layout), 2),
+    "bisect-unknown-predicate": (
+        bisect_cli.main, ["--seed", "4", "--predicate", "bogus"], None, 2),
+    "bisect-nothing-to-bisect": (
+        bisect_cli.main, ["--seed", "0", "--predicate", "violations"],
+        None, 1),
+    "bisect-not-monotone": (
+        bisect_cli.main, ["--seed", "4", "--predicate", "failed-op:launch:t0"],
+        _never_monotone, 1),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_a_refusal_is_one_error_line(self, case, monkeypatch, tmp_path,
+                                         capsys):
+        main, argv, prepare, status = REFUSALS[case]
+        if prepare is not None:
+            prepare(str(tmp_path), monkeypatch)
+        capsys.readouterr()
+        assert main(_argv(argv, str(tmp_path))) == status
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert ": error: " in line
 
 
 @pytest.mark.soak

@@ -1,7 +1,8 @@
 """Crash-resumable soaks: resumed runs are byte-identical, fail closed.
 
-The soak resumes at seed boundaries, from its progress store.
-:class:`TestResumableSweep` exercises that store directly;
+The soak resumes at seed boundaries, from one verified progress file.
+:class:`TestProgressFile` holds that file to its fail-closed reads;
+:class:`TestResumableSweep` drives the sweep directly;
 :class:`TestKillNineResume` runs the real CLI in a subprocess,
 SIGKILLs it mid-sweep, resumes (serially and at ``--jobs 2``), and
 diffs the output against an uninterrupted run — the same protocol as
@@ -15,12 +16,78 @@ import sys
 
 import pytest
 
-from repro.checkpoint.store import CheckpointError
 from repro.common.errors import ReproError
 from repro.faults import soak
-from repro.faults.soak import resumable_soak, run_scenario
+from repro.faults.soak import (
+    PROGRESS_SCHEMA,
+    CheckpointError,
+    SoakResult,
+    atomic_write,
+    read_progress,
+    resumable_soak,
+    run_scenario,
+    write_progress,
+)
 
 PARAMS = {"hosts": 2, "tenants": 2, "frames": 512, "nfaults": 6}
+
+PROGRESS = {"results": [SoakResult(seed=0, completed_ops=["launch:t0"])],
+            "next_index": 1, "params": {"seeds": [0, 1]}}
+
+
+@pytest.fixture
+def progress_file(tmp_path):
+    path = str(tmp_path / "progress")
+    write_progress(path, PROGRESS)
+    with open(path, "rb") as handle:
+        return path, handle.read()
+
+
+def _overwrite(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+class TestProgressFile:
+    def test_round_trip(self, progress_file):
+        path, _ = progress_file
+        assert read_progress(path) == PROGRESS
+
+    def test_missing_file_is_no_progress(self, tmp_path):
+        assert read_progress(str(tmp_path / "progress")) is None
+
+    def test_every_truncation_is_refused(self, progress_file):
+        path, full = progress_file
+        for cut in range(len(full)):
+            _overwrite(path, full[:cut])
+            with pytest.raises(CheckpointError):
+                read_progress(path)
+
+    def test_a_flipped_body_byte_is_refused(self, progress_file):
+        path, full = progress_file
+        _overwrite(path, full[:-1] + bytes([full[-1] ^ 1]))
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            read_progress(path)
+
+    def test_a_wrong_schema_tag_is_refused(self, progress_file):
+        path, full = progress_file
+        tag = PROGRESS_SCHEMA.encode()
+        _overwrite(path, full.replace(tag, tag[:-1] + b"0", 1))
+        with pytest.raises(CheckpointError, match="not fidelius-soak"):
+            read_progress(path)
+
+    def test_a_directory_at_the_path_is_refused(self, tmp_path):
+        # e.g. a checkpoint dir left in the old progress/ store layout
+        os.makedirs(str(tmp_path / "progress" / "manifests"))
+        with pytest.raises(CheckpointError, match="cannot read"):
+            read_progress(str(tmp_path / "progress"))
+
+    def test_atomic_write_leaves_no_temp_files(self, tmp_path):
+        path = str(tmp_path / "f")
+        atomic_write(path, b"old")
+        atomic_write(path, b"payload")
+        assert open(path, "rb").read() == b"payload"
+        assert os.listdir(str(tmp_path)) == ["f"]
 
 
 class TestResumableSweep:
@@ -30,6 +97,7 @@ class TestResumableSweep:
         swept = resumable_soak(seeds, str(tmp_path / "ck"), every_seeds=1,
                                **PARAMS)
         assert pickle.dumps(swept) == pickle.dumps(plain)
+        assert os.listdir(str(tmp_path / "ck")) == ["progress"]
 
     def test_existing_progress_requires_resume_flag(self, tmp_path):
         seeds = [2, 3]

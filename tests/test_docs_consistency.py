@@ -75,6 +75,20 @@ OPERATOR_FILES = sorted(
        for path in glob.glob(os.path.join(ROOT, *pattern))])
 
 
+#: every module under src/, where docstrings cite the docs
+SOURCE_FILES = sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"),
+                                recursive=True))
+
+
+def _doc_paths(text):
+    return set(re.findall(r"\bdocs/\w+\.md\b", text))
+
+
+def _md_links(text):
+    """Relative ``.md`` link targets in markdown, anchors dropped."""
+    return set(re.findall(r"\]\(([^):#\s]+\.md)(?:#[^)]*)?\)", text))
+
+
 def _missing_test_files(text):
     files = set(re.findall(r"`(tests/[\w/]+\.py)", text))
     assert files
@@ -151,8 +165,36 @@ class TestOperatorFiles:
         commands = set().union(*(_commands(_read(p))
                                  for p in OPERATOR_FILES))
         assert {"repro.analysis", "repro.eval", "repro.faults.soak",
-                "repro.faults.bisect",
-                "repro.checkpoint.oracle"} <= commands
+                "repro.faults.bisect"} <= commands
+
+    @pytest.mark.parametrize("path", OPERATOR_FILES)
+    def test_every_named_docs_path_exists(self, path):
+        assert sorted(p for p in _doc_paths(_read(path))
+                      if not os.path.exists(os.path.join(ROOT, p))) == []
+
+    @pytest.mark.parametrize(
+        "path", [p for p in OPERATOR_FILES if p.endswith(".md")])
+    def test_every_relative_md_link_resolves(self, path):
+        base = os.path.dirname(os.path.join(ROOT, path))
+        assert sorted(link for link in _md_links(_read(path))
+                      if not os.path.exists(os.path.join(base, link))) == []
+
+    def test_the_path_checks_see_paths(self):
+        assert len(set().union(*(_doc_paths(_read(p))
+                                 for p in OPERATOR_FILES))) >= 5
+        assert len(_md_links(_read("README.md"))) >= 5
+
+
+class TestSourceDocPaths:
+    def test_every_docs_path_named_in_src_exists(self):
+        named = {}
+        for path in SOURCE_FILES:
+            with open(path) as handle:
+                for doc in _doc_paths(handle.read()):
+                    named.setdefault(doc, os.path.relpath(path, ROOT))
+        assert len(named) >= 3
+        assert sorted((doc, source) for doc, source in named.items()
+                      if not os.path.exists(os.path.join(ROOT, doc))) == []
 
 
 class TestExamplesAreImportable:
