@@ -10,9 +10,8 @@ Entry points:
 
 * CLI: ``python -m repro.analysis`` (or the ``fidelint`` console
   script) — human or ``--format json`` output, ``--strict`` for CI,
-  ``--jobs N`` to shard the run through ``repro.runner`` (digest
-  byte-identical to serial), ``--state-report state.json`` for the
-  module-state inventory artifact.
+  ``--state-report state.json`` for the module-state inventory
+  artifact.
 * Library / pytest: :func:`repro.analysis.analyze` returns an
   :class:`~repro.analysis.engine.AnalysisResult`; the test suite runs
   it over the live tree (``tests/analysis/``).

@@ -16,7 +16,6 @@ from repro.analysis.baseline import default_baseline_path, load_baseline, \
 from repro.analysis.engine import analyze, findings_digest
 from repro.analysis.project import Project
 from repro.analysis.registry import all_rules
-from repro.runner import add_jobs_argument
 
 
 def _default_root():
@@ -59,8 +58,9 @@ def build_parser():
                         help="ignore the baseline file")
     parser.add_argument("--write-baseline", action="store_true",
                         help="regenerate the baseline file from every "
-                             "current finding (stable ordering; stale "
-                             "entries are pruned) and exit 0")
+                             "current finding of every rule (stable "
+                             "ordering; stale entries are pruned; not "
+                             "with --select) and exit 0")
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(e.g. FID001,FID003)")
@@ -76,7 +76,6 @@ def build_parser():
                              "mutables, see FID014) as JSON and exit; "
                              "non-zero if anything is unregistered or "
                              "stale")
-    add_jobs_argument(parser)
     return parser
 
 
@@ -109,11 +108,15 @@ def main(argv=None):
     select = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
+    if select and args.write_baseline:
+        print("fidelint: error: --write-baseline records every rule's "
+              "findings and cannot be combined with --select",
+              file=sys.stderr)
+        return 2
 
     try:
         result = analyze(root, baseline_path=None if args.write_baseline
-                         else baseline_path, select=select,
-                         jobs=args.jobs)
+                         else baseline_path, select=select)
     except ValueError as exc:
         print("fidelint: %s" % exc, file=sys.stderr)
         return 2

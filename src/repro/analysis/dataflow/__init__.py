@@ -23,7 +23,7 @@ Layout:
   :mod:`~repro.analysis.dataflow.charges` — the three analyses behind
   rules FID010 / FID011 / FID012;
 * :mod:`~repro.analysis.dataflow.context` — the shared per-run cache
-  (CFGs keyed by content hash, summaries computed once).
+  (CFGs keyed by module and position, summaries computed once).
 
 See ``docs/dataflow.md`` for the design rationale and the documented
 approximations.

@@ -3,13 +3,13 @@
 One :class:`DataflowContext` lives on the :class:`~repro.analysis
 .project.Project` for the duration of one analyzer run.  It is built
 lazily — a run selecting only syntactic rules never constructs it —
-and shared by every rule that declares ``needs_dataflow``, so:
+and shared by every rule that uses it, so:
 
 * each module's AST is parsed exactly once (by ``Project.load``; the
   context only ever reuses ``module.tree``);
 * each function's CFG is built exactly once, keyed by the module's
-  content hash plus the function's position (``cfg_builds`` /
-  ``cfg_hits`` counters make this testable);
+  name plus the function's position (``cfg_builds`` / ``cfg_hits``
+  counters make this testable);
 * the function index and the summary fixpoint are computed once and
   reused by FID010/FID011/FID012.
 """
@@ -64,7 +64,7 @@ class DataflowContext:
         return self.project.modules[fi.module]
 
     def cfg_for(self, module, func_node):
-        key = (module.content_hash, func_node.lineno,
+        key = (module.name, func_node.lineno,
                func_node.col_offset, func_node.name)
         cfg = self._cfgs.get(key)
         if cfg is None:

@@ -7,16 +7,13 @@ not know about, must not draw ambient entropy, and must not read the
 host clock into modelled results.  This module
 computes, for every indexed function, an :class:`EffectSummary` —
 
-* ``writes`` / ``reads`` — module-global bindings mutated / read,
-  as ``(module, name, qualname-of-the-actual-writer)`` triples;
+* ``writes`` — module-global bindings mutated, as ``(module, name,
+  qualname-of-the-actual-writer)`` triples;
 * ``rng`` — ambient entropy draws (``os.urandom``, ``secrets``,
   ``uuid4``, module-level ``random.*``, unseeded ``random.Random()``),
   including bare *references* to such functions (aliasing a reader is
   as bad as calling it);
 * ``clock`` — host wall-clock reads (``time.*``, ``datetime.now``...);
-* ``io`` / ``spawn`` — file-system access and process creation
-  (informational: fidelint's own parallel worker legitimately reads
-  the tree it analyzes);
 * ``returns_param`` — syntactic "some return mentions a parameter"
   (the laundering hint the taint summaries also use);
 * ``returns_entropy`` — may the return value derive from ambient
@@ -54,8 +51,7 @@ from repro.analysis.dataflow.taint import (
 
 
 class EffectSummary(namedtuple(
-        "EffectSummary",
-        "writes reads rng clock io spawn returns_param returns_entropy")):
+        "EffectSummary", "writes rng clock returns_param returns_entropy")):
     """Transitive effects of one function (all fields but the last two
     are frozensets; see the module docstring for element shapes)."""
 
@@ -67,12 +63,6 @@ class EffectSummary(namedtuple(
         return any(n == name or "%s:%s" % (m, n) == name
                    for m, n, _writer in self.writes)
 
-    def reads_global(self, name=None):
-        if name is None:
-            return bool(self.reads)
-        return any(n == name or "%s:%s" % (m, n) == name
-                   for m, n, _reader in self.reads)
-
     @property
     def unseeded_rng(self):
         return bool(self.rng)
@@ -81,18 +71,6 @@ class EffectSummary(namedtuple(
     def reads_clock(self):
         return bool(self.clock)
 
-    @property
-    def does_io(self):
-        return bool(self.io)
-
-    @property
-    def spawns_process(self):
-        return bool(self.spawn)
-
-
-EMPTY_EFFECTS = EffectSummary(
-    frozenset(), frozenset(), frozenset(), frozenset(), frozenset(),
-    frozenset(), False, False)
 
 #: constructor calls whose result is a mutable container
 MUTABLE_CONSTRUCTORS = frozenset({
@@ -113,15 +91,6 @@ CLOCK_CALLS = frozenset({
 })
 ENTROPY_MODULES = frozenset({"secrets"})
 ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
-IO_CALLS = frozenset({
-    "os.remove", "os.unlink", "os.rename", "os.replace", "os.mkdir",
-    "os.makedirs", "os.rmdir",
-})
-IO_MODULES = frozenset({"shutil", "tempfile"})
-SPAWN_MODULES = frozenset({"subprocess", "multiprocessing"})
-SPAWN_CALLS = frozenset({
-    "os.fork", "os.system", "os.popen", "os.execv", "os.spawnv",
-})
 
 #: identifiers whose presence makes an entropy flow-solve worth running
 _AMBIENT_PREFILTER_IDS = frozenset({
@@ -163,8 +132,8 @@ def _canonical_dotted(dotted, module_aliases):
 
 
 def classify_ambient_ref(dotted):
-    """("rng"|"clock"|"io"|"spawn", description) for a reference to an
-    ambient function, or None.  ``random.Random`` itself is excluded —
+    """("rng"|"clock", description) for a reference to an ambient
+    function, or None.  ``random.Random`` itself is excluded —
     only its unseeded *call* is ambient."""
     if not dotted:
         return None
@@ -177,10 +146,6 @@ def classify_ambient_ref(dotted):
         return ("rng", dotted)
     if top == "random" and len(parts) >= 2 and parts[1] != "Random":
         return ("rng", dotted + " (hidden module-global RNG state)")
-    if dotted == "open" or top in IO_MODULES or tail2 in IO_CALLS:
-        return ("io", dotted)
-    if top in SPAWN_MODULES or tail2 in SPAWN_CALLS:
-        return ("spawn", dotted)
     return None
 
 
@@ -308,8 +273,7 @@ def local_effects(fi, module, mutables, fn_aliases, module_aliases):
             params.add(extra.arg)
     shadowed = (params | _assigned_names(fi.node)) - global_decls
 
-    writes, reads = set(), set()
-    rng, clock, io, spawn = set(), set(), set(), set()
+    writes, rng, clock = set(), set(), set()
     call_func_ids = set()
 
     def visible(name):
@@ -317,8 +281,7 @@ def local_effects(fi, module, mutables, fn_aliases, module_aliases):
 
     def add_site(kind_desc, lineno):
         kind, desc = kind_desc
-        {"rng": rng, "clock": clock, "io": io, "spawn": spawn}[kind].add(
-            (qual, desc, lineno))
+        {"rng": rng, "clock": clock}[kind].add((qual, desc, lineno))
 
     for node in ast.walk(fi.node):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -355,8 +318,6 @@ def local_effects(fi, module, mutables, fn_aliases, module_aliases):
                 add_site(classified, node.lineno)
         elif isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load):
-                if visible(node.id):
-                    reads.add((module.name, node.id, qual))
                 canonical = fn_aliases.get(node.id)
                 if canonical is not None and node.id not in shadowed \
                         and id(node) not in call_func_ids:
@@ -381,8 +342,7 @@ def local_effects(fi, module, mutables, fn_aliases, module_aliases):
                 add_site(classified, node.lineno)
 
     return EffectSummary(
-        frozenset(writes), frozenset(reads), frozenset(rng),
-        frozenset(clock), frozenset(io), frozenset(spawn),
+        frozenset(writes), frozenset(rng), frozenset(clock),
         _returns_mention_param(fi.node), False)
 
 
@@ -438,22 +398,15 @@ def compute_effects(ctx):
 
 def _union_effects(base, others):
     writes = set(base.writes)
-    reads = set(base.reads)
     rng = set(base.rng)
     clock = set(base.clock)
-    io = set(base.io)
-    spawn = set(base.spawn)
     for other in others:
         writes |= other.writes
-        reads |= other.reads
         rng |= other.rng
         clock |= other.clock
-        io |= other.io
-        spawn |= other.spawn
     return base._replace(
-        writes=frozenset(writes), reads=frozenset(reads),
-        rng=frozenset(rng), clock=frozenset(clock), io=frozenset(io),
-        spawn=frozenset(spawn))
+        writes=frozenset(writes), rng=frozenset(rng),
+        clock=frozenset(clock))
 
 
 def _mentions_ambient(func_node):
@@ -530,16 +483,14 @@ class AmbientEntropyAnalysis(TaintAnalysis):
             if raw.split(".")[0] not in self.shadowed:
                 dotted = _canonical_dotted(raw, self.module_aliases)
                 classified = classify_ambient_ref(dotted)
-                if classified is not None and \
-                        classified[0] in ("rng", "clock"):
+                if classified is not None:
                     return frozenset({("efn", classified[1])})
         if isinstance(expr, ast.Name):
             tags = env.get(expr.id, frozenset())
             canonical = self.fn_aliases.get(expr.id)
             if canonical is not None and expr.id not in self.shadowed:
                 classified = classify_ambient_ref(canonical)
-                if classified is not None and \
-                        classified[0] in ("rng", "clock"):
+                if classified is not None:
                     tags = tags | frozenset({("efn", classified[1])})
             return tags
         return super().eval_expr(expr, env)
@@ -547,7 +498,7 @@ class AmbientEntropyAnalysis(TaintAnalysis):
     def _eval_call(self, call, env):
         classified = classify_ambient_call(
             call, self.fn_aliases, self.module_aliases, self.shadowed)
-        if classified is not None and classified[0] in ("rng", "clock"):
+        if classified is not None:
             return frozenset({("entropy", classified[1], call.lineno)})
         dotted = _canonical_dotted(
             dotted_name(call.func) or "", self.module_aliases)

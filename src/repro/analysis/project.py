@@ -9,7 +9,6 @@ unsafe or impossible to import.
 """
 
 import ast
-import hashlib
 import os
 import re
 
@@ -29,10 +28,6 @@ class ModuleInfo:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
-        #: cache key for derived artifacts (CFGs): survives reloads of
-        #: identical content, invalidates on any edit
-        self.content_hash = hashlib.sha256(
-            source.encode("utf-8")).hexdigest()
         self.skip_file = bool(_SKIP_FILE_RE.search(source[:2048]))
         #: line number -> set of suppressed rule ids ("*" = all rules)
         self.suppressions = self._parse_suppressions()

@@ -6,8 +6,9 @@ A rule is a callable ``check(module, project)`` yielding
 each rule carries an id (``FIDnnn``), a short kebab-case name, a default
 severity, a one-paragraph description used by ``--list-rules``, an
 optional *fixed example* shown by ``--explain``, and a
-``needs_dataflow`` capability flag — the engine builds the shared
-per-run CFG/summary cache only when a selected rule asks for it.
+``needs_dataflow`` flag that ``--explain`` shows as ``[dataflow]``.
+The shared per-run CFG/summary cache is built on a rule's first use,
+so a purely syntactic run never pays for it.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ class Rule:
     description: str
     check: object
     needs_dataflow: bool = False
-    needs_effects: bool = False
     example: str = ""
     module: str = field(default="")    # defining module, for --explain
 
@@ -34,14 +34,13 @@ class Rule:
 
 
 def rule(rule_id, name, severity, description, needs_dataflow=False,
-         needs_effects=False, example=""):
+         example=""):
     """Class-less rule registration decorator."""
     def register(func):
         if rule_id in _REGISTRY:
             raise ValueError("duplicate rule id %s" % rule_id)
         _REGISTRY[rule_id] = Rule(rule_id, name, severity, description,
                                   func, needs_dataflow=needs_dataflow,
-                                  needs_effects=needs_effects,
                                   example=example,
                                   module=func.__module__)
         return func

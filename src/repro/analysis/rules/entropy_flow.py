@@ -38,7 +38,6 @@ from repro.analysis.rules.shard_purity import TIMING_ALLOWED_MODULES
       "Flow-sensitive ambient entropy: clock/urandom-derived values "
       "must not reach RNG seeds or simulation state, even through "
       "aliases and helper calls.",
-      needs_effects=True,
       example="""
       # BAD: laundering — the RNG is 'seeded' with ambient entropy
       seed = int.from_bytes(os.urandom(8), 'big')

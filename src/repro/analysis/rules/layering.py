@@ -43,8 +43,8 @@ LAYERS = {
     # directly; FID009 separately guarantees nothing imports it back.
     "faults": 9,
     # fidelint is tooling *over* the whole tree, imported by nothing in
-    # src; it sits on top so it may reuse the runner for --jobs without
-    # a back-edge, while no simulator layer may reach up into it.
+    # src; it sits on top so it may reuse the runner's canonical digest
+    # without a back-edge, while no simulator layer may reach up into it.
     "analysis": 10,
 }
 

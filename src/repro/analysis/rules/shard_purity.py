@@ -76,7 +76,6 @@ def _finding(module, lineno, message):
       "Functions submitted to the sharded runner must be transitively "
       "free of unregistered global mutation, ambient entropy, and "
       "non-allowlisted clock reads.",
-      needs_effects=True,
       example="""
       # BAD: worker-local accumulation is lost across the process pool
       _RESULTS = []

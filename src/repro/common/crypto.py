@@ -23,9 +23,9 @@ Fast path vs. reference path
 ----------------------------
 
 ``keystream`` / ``xex_encrypt`` sit under every protected-guest memory
-access, so they are optimized for wall-clock speed: a SHA-256 midstate
-is precomputed once per ``(key, tweak)`` and ``hash.copy()``-ed per
-counter block, the XOR runs as one wide integer operation, and a
+access, so they are optimized for wall-clock speed: each call absorbs
+the ``key|tweak|`` prefix into one SHA-256 object and ``hash.copy()``-s
+it per counter block, the XOR runs as one wide integer operation, and a
 bounded LRU caches the keystream of whole cache lines so a repeated
 touch of the same encrypted line costs one dict hit instead of two
 hashes.  The kept-simple originals survive as ``_reference_keystream``
@@ -68,12 +68,9 @@ DH_GENERATOR = 2
 
 # -- keystream caches (simulator state; secret-bearing, see module doc) ------
 
-_MIDSTATE_CACHE_MAX = 1024
 _LINE_CACHE_MAX = 8192
 _SPAN_CACHE_MAX = 512
 
-#: (key, tweak) -> sha256 object primed with ``key|tweak|``
-_midstate_cache = OrderedDict()
 #: (key, tweak) -> keystream bytes for counter blocks [0, _LINE_BLOCKS)
 _line_cache = OrderedDict()
 #: (key, first_line_pa, nlines) -> keystream of the whole contiguous
@@ -84,8 +81,6 @@ _span_cache = OrderedDict()
 # plain module ints, not a dict: the hit counter rides the hot path
 _line_hits = 0
 _line_misses = 0
-_midstate_hits = 0
-_midstate_misses = 0
 _span_hits = 0
 _span_misses = 0
 _key_invalidations = 0
@@ -94,8 +89,8 @@ _key_invalidations = 0
 #: ``*_entries`` — are gauges, not counters, and stay absolute in
 #: :func:`keystream_cache_delta`)
 _STAT_COUNTER_KEYS = (
-    "line_hits", "line_misses", "midstate_hits", "midstate_misses",
-    "span_hits", "span_misses", "key_invalidations",
+    "line_hits", "line_misses", "span_hits", "span_misses",
+    "key_invalidations",
 )
 
 
@@ -104,13 +99,10 @@ def keystream_cache_stats():
     return {
         "line_hits": _line_hits,
         "line_misses": _line_misses,
-        "midstate_hits": _midstate_hits,
-        "midstate_misses": _midstate_misses,
         "span_hits": _span_hits,
         "span_misses": _span_misses,
         "key_invalidations": _key_invalidations,
         "line_entries": len(_line_cache),
-        "midstate_entries": len(_midstate_cache),
         "span_entries": len(_span_cache),
     }
 
@@ -138,20 +130,18 @@ def keystream_cache_delta(before):
 
 
 def clear_keystream_cache():
-    """Drop every cached midstate and keystream line (tests/benchmarks).
+    """Drop every cached keystream line and span (tests/benchmarks).
 
     Also zeroes the hit/miss counters, so every stats read is scoped
     "since the last clear" — a benchmark that clears at its start then
     reports identical counters whether it ran in the main process or in
     a :mod:`repro.runner` worker shard.
     """
-    global _line_hits, _line_misses, _midstate_hits, _midstate_misses
-    global _span_hits, _span_misses, _key_invalidations
-    _midstate_cache.clear()
+    global _line_hits, _line_misses, _span_hits, _span_misses
+    global _key_invalidations
     _line_cache.clear()
     _span_cache.clear()
     _line_hits = _line_misses = 0
-    _midstate_hits = _midstate_misses = 0
     _span_hits = _span_misses = 0
     _key_invalidations = 0
 
@@ -164,37 +154,20 @@ def forget_key(key):
     """
     global _key_invalidations
     key = bytes(key)
-    for cache in (_midstate_cache, _line_cache, _span_cache):
+    for cache in (_line_cache, _span_cache):
         stale = [entry for entry in cache if entry[0] == key]
         for entry in stale:
             del cache[entry]
     _key_invalidations += 1
 
 
-def _midstate(key, tweak):
-    """A SHA-256 primed with ``key|tweak|``, ready to ``.copy()`` per block."""
-    global _midstate_hits, _midstate_misses
-    entry = (key, tweak)
-    mid = _midstate_cache.get(entry)
-    if mid is not None:
-        _midstate_hits += 1
-        _midstate_cache.move_to_end(entry)
-        return mid
-    _midstate_misses += 1
+def _blocks(key, tweak, first_block, last_block):
+    """Concatenated counter blocks [first_block, last_block]."""
     mid = hashlib.sha256()
     mid.update(key)
     mid.update(b"|")
     mid.update(tweak)
     mid.update(b"|")
-    _midstate_cache[entry] = mid
-    if len(_midstate_cache) > _MIDSTATE_CACHE_MAX:
-        _midstate_cache.popitem(last=False)
-    return mid
-
-
-def _blocks(key, tweak, first_block, last_block):
-    """Concatenated counter blocks [first_block, last_block]."""
-    mid = _midstate(key, tweak)
     out = bytearray()
     for block in range(first_block, last_block + 1):
         h = mid.copy()

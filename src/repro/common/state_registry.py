@@ -78,15 +78,6 @@ REGISTRY = _build([
     ("repro.common.crypto", "_line_misses", "counters",
      "clear_keystream_cache",
      "cache-effectiveness tally reported by keystream_cache_stats"),
-    ("repro.common.crypto", "_midstate_cache", "derived-cache",
-     "clear_keystream_cache",
-     "per-(key, tweak) hash midstate LRU; recomputable on demand"),
-    ("repro.common.crypto", "_midstate_hits", "counters",
-     "clear_keystream_cache",
-     "cache-effectiveness tally reported by keystream_cache_stats"),
-    ("repro.common.crypto", "_midstate_misses", "counters",
-     "clear_keystream_cache",
-     "cache-effectiveness tally reported by keystream_cache_stats"),
     ("repro.common.crypto", "_span_cache", "derived-cache",
      "clear_keystream_cache",
      "multi-line span keystream LRU; pure function of (key, line_pa, "

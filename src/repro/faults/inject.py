@@ -21,8 +21,6 @@ and action; :func:`schedule_bytes` serializes the combined log so two
 runs of the same seed can be compared byte for byte.
 """
 
-import hashlib
-
 from repro.common.errors import SevError
 from repro.core.attestation import Quote
 
@@ -265,7 +263,3 @@ def schedule_bytes(injectors):
     for injector in injectors:
         lines.extend(injector.schedule_lines())
     return "\n".join(lines).encode()
-
-
-def schedule_digest(injectors):
-    return hashlib.sha256(schedule_bytes(injectors)).hexdigest()

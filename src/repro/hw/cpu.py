@@ -180,9 +180,6 @@ class Cpu:
             translation.pa, data, c_bit=translation.c_bit, asid=self.current_asid
         )
 
-    def load_u64(self, va):
-        return int.from_bytes(self.load(va, 8), "little")
-
     def store_u64(self, va, value):
         self.store(va, (value & (2 ** 64 - 1)).to_bytes(8, "little"))
 

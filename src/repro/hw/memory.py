@@ -9,7 +9,7 @@ would see.
 
 from repro.common.constants import PAGE_SHIFT, PAGE_SIZE
 from repro.common.errors import PhysicalMemoryError
-from repro.common.types import frame_addr, page_offset, pfn_of
+from repro.common.types import page_offset, pfn_of
 
 
 class PhysicalMemory:
@@ -140,8 +140,3 @@ class FrameAllocator:
 
     def is_allocated(self, pfn):
         return pfn in self._allocated
-
-
-def frame_va(pfn):
-    """Host direct-map virtual address of a frame (identity map, VA==PA)."""
-    return frame_addr(pfn)

@@ -189,13 +189,6 @@ class PageTableWalker:
             raise PageFault(va, present=False)
         self._write_word(leaf_pa, (entry | set_mask) & ~clear_mask)
 
-    def is_mapped(self, root_pfn, va):
-        try:
-            self.translate(root_pfn, va, Access.read(), wp=False)
-            return True
-        except PageFault:
-            return False
-
     # -- enumeration ------------------------------------------------------------
 
     def table_pages(self, root_pfn):

@@ -12,7 +12,7 @@ whichever worker finished first.
 * ``jobs>1`` dispatches units to at most ``jobs`` *persistent* worker
   processes.  A new worker is handed its first unit the moment it is
   spawned, and takes the next pending unit whenever it goes idle, so
-  process-global derived caches (the keystream line/midstate/span
+  process-global derived caches (the keystream line and span
   LRUs) stay warm across the units one worker runs — the
   registry-audited shard-purity rule (FID013) is what makes that safe:
   work units cannot mutate unregistered module state, so a warm cache

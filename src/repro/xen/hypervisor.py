@@ -549,11 +549,5 @@ class Hypervisor:
 
     # -- plain inspection helpers (legitimately needed; also the attack surface) --------------------------
 
-    def read_vmcb(self, vcpu, field):
-        return vcpu.vmcb.read(field)
-
-    def write_vmcb(self, vcpu, field, value):
-        vcpu.vmcb.write(field, value)
-
     def guest_frame_hpfn(self, domain, gfn):
         return pfn_of(domain.npt.hpa_of(gfn * PAGE_SIZE))

@@ -24,7 +24,7 @@ from repro.common.constants import (
     PTE_WRITABLE,
 )
 from repro.common.errors import NestedPageFault, PageFault
-from repro.common.types import Access, frame_addr, pfn_of
+from repro.common.types import Access
 from repro.hw.pagetable import PageTableWalker, entry_pfn
 
 
@@ -111,13 +111,3 @@ class NestedPageTable:
     def all_table_pfns(self):
         """Authoritative table-page set recomputed from the tree."""
         return {pfn for _, pfn in self._walker.table_pages(self.root_pfn)}
-
-
-def npt_entry_va(npt, gpa, level=1):
-    """Host direct-map VA of an NPT entry (identity map: VA == PA)."""
-    return npt.entry_pa(gpa, level)
-
-
-def guest_frame_va(npt, gpa):
-    """Host direct-map VA of the frame backing ``gpa``."""
-    return frame_addr(pfn_of(npt.hpa_of(gpa)))

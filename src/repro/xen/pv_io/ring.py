@@ -62,11 +62,3 @@ class BlkRing:
         if not self._responses:
             raise XenError("no response on ring")
         return self._responses.popleft()
-
-    @property
-    def pending_requests(self):
-        return len(self._requests)
-
-    @property
-    def pending_responses(self):
-        return len(self._responses)

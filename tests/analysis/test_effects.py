@@ -3,13 +3,10 @@
 Covers the call-graph/effect-summary fixpoint (transitive writes,
 recursion termination, dispatch-table edges), the shard-purity /
 state-inventory / entropy-flow rules end to end, the ``--state-report``
-artifact, and the two contracts the whole layer exists to defend:
-
-* a *runtime* differential showing that a shard function mutating a
-  module global really does lose state under ``jobs > 1`` — the bug
-  class FID013 bans statically;
-* fidelint's own ``--jobs`` path producing a byte-identical findings
-  digest, serial vs sharded.
+artifact, and the contract the whole layer exists to defend: a
+*runtime* differential showing that a shard function mutating a module
+global really does lose state under ``jobs > 1`` — the bug class FID013
+bans statically.
 """
 
 import importlib
@@ -21,7 +18,6 @@ import textwrap
 
 from repro.analysis import analyze
 from repro.analysis.cli import main
-from repro.analysis.engine import findings_digest
 from repro.analysis.project import Project
 from repro.common.state_registry import REGISTRY, lookup
 
@@ -357,7 +353,8 @@ def test_state_report_cli_artifact(tmp_path, capsys):
     assert payload["counts"]["registered"] == len(REGISTRY)
     resets = {e["name"]: e["reset"] for e in payload["registered"]
               if e["module"] == "repro.common.crypto"}
-    assert resets["_midstate_cache"] == "clear_keystream_cache"
+    assert resets["_line_cache"] == "clear_keystream_cache"
+    assert resets["_span_cache"] == "clear_keystream_cache"
 
 
 def test_state_report_fails_on_unregistered_state(tmp_path, capsys):
@@ -371,29 +368,3 @@ def test_state_report_fails_on_unregistered_state(tmp_path, capsys):
     names = {(e["module"], e["name"]) for e in payload["unregistered"]}
     assert ("repro.hw.bad_snapshot_state", "_TLB_SCRATCH") in names
 
-
-# ------------------------------------------------------- --jobs determinism
-
-def test_jobs_digest_matches_serial_on_fixture_tree():
-    serial = analyze(FIXTURE_ROOT, baseline_path=None)
-    sharded = analyze(FIXTURE_ROOT, baseline_path=None, jobs=2)
-    assert findings_digest(serial) == findings_digest(sharded)
-    assert serial.to_dict() == sharded.to_dict()
-
-
-def test_jobs_digest_matches_serial_under_select():
-    serial = analyze(FIXTURE_ROOT, baseline_path=None,
-                     select=["FID013", "FID014", "FID015"])
-    sharded = analyze(FIXTURE_ROOT, baseline_path=None,
-                      select=["FID013", "FID014", "FID015"], jobs=3)
-    assert findings_digest(serial) == findings_digest(sharded)
-
-
-def test_fidelints_own_worker_passes_its_own_purity_rule():
-    # Dogfood: the engine submits _analyze_worker through WorkUnit, so
-    # FID013 audits fidelint itself; the effect summary of the worker
-    # must be free of global writes and ambient nondeterminism.
-    effects = Project.load(SRC_ROOT).dataflow.effects
-    summary = effects["repro.analysis.engine:_analyze_worker"]
-    assert not summary.writes_global()
-    assert not summary.unseeded_rng

@@ -183,6 +183,30 @@ def test_identical_lines_get_distinct_fingerprints(tmp_path):
     assert not again.stale_baseline
 
 
+def test_select_judges_only_the_rules_that_ran(tmp_path):
+    root = _make_tree(tmp_path, "mod.py", """\
+        def f(x=[]):
+            return x
+        """)
+    baseline_path = str(tmp_path / "baseline.json")
+    write_baseline(baseline_path, analyze(root, baseline_path=None).findings)
+
+    # A FID003 run cannot match the FID006 entry, so it must not call it
+    # stale.
+    other = analyze(root, baseline_path=baseline_path, select=["FID003"])
+    assert not other.stale_baseline
+    assert other.exit_code(strict=True) == 0
+
+    # Fixed: the entry is stale for every run that includes its rule.
+    mod = os.path.join(root, "repro", "mod.py")
+    with open(mod, "w", encoding="utf-8") as handle:
+        handle.write("def f(x=None):\n    return x\n")
+    assert not analyze(root, baseline_path=baseline_path,
+                       select=["FID003"]).stale_baseline
+    assert len(analyze(root, baseline_path=baseline_path,
+                       select=["FID006", "FID003"]).stale_baseline) == 1
+
+
 # ----------------------------------------------------------------------- CLI
 
 def test_cli_list_rules(capsys):
@@ -205,7 +229,7 @@ def test_cli_json_output_on_fixture_tree(capsys):
     assert payload["counts"]["modules"] == 23
     rules_seen = {f["rule"] for f in payload["findings"]}
     assert len(rules_seen) == 15
-    # the digest travels with the JSON payload for --jobs equivalence checks
+    # the findings digest travels with the JSON payload
     assert len(payload["digest"]) == 64
 
 
@@ -267,6 +291,33 @@ def test_cli_write_baseline_prunes_stale_entries(tmp_path, capsys):
     assert "wrote 0 baseline entries" in out
     assert "1 stale pruned" in out
     assert load_baseline(baseline_path) == {}
+    assert main(["--root", root, "--baseline", baseline_path,
+                 "--strict"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_write_baseline_refuses_select(tmp_path, capsys):
+    root = _make_tree(tmp_path, "mod.py", """\
+        def f(x=[]):
+            return x
+        """)
+    baseline_path = str(tmp_path / "baseline.json")
+    assert main(["--root", root, "--baseline", baseline_path,
+                 "--write-baseline"]) == 0
+    with open(baseline_path, "rb") as handle:
+        before = handle.read()
+    capsys.readouterr()
+
+    # A subset of the rules cannot regenerate the whole file: refused
+    # with one line, the file untouched, and a strict run still clean.
+    assert main(["--root", root, "--baseline", baseline_path,
+                 "--select", "FID003", "--write-baseline"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "error:" in line
+    with open(baseline_path, "rb") as handle:
+        assert handle.read() == before
+    assert main(["--root", root, "--baseline", baseline_path,
+                 "--select", "FID003", "--strict"]) == 0
     assert main(["--root", root, "--baseline", baseline_path,
                  "--strict"]) == 0
     capsys.readouterr()

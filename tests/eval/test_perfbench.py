@@ -6,17 +6,27 @@ flaky: the report schema, the in-run equivalence flags (the benches
 themselves raise if the fast path diverges from the reference twin),
 and the ``--json`` artifact contract that ``BENCH_simulator.json``
 consumers rely on.
+
+The module runs the quick benches once; the CLI test reads that
+report instead of running them again.
 """
 
+import copy
 import json
+
+import pytest
 
 from repro.eval import perfbench
 
 BENCH_NAMES = ("keystream", "enc_rw_mix", "walker_tlb", "guest_macro")
 
 
-def test_run_all_quick_schema():
-    report = perfbench.run_all(quick=True)
+@pytest.fixture(scope="module")
+def report():
+    return perfbench.run_all(quick=True)
+
+
+def test_run_all_quick_schema(report):
     assert report["schema"] == perfbench.SCHEMA
     assert report["quick"] is True
     assert set(report["benchmarks"]) == set(BENCH_NAMES)
@@ -43,17 +53,24 @@ def test_run_all_quick_schema():
     assert all(s["ok"] and s["elapsed_s"] > 0 for s in sharding["shards"])
 
 
-def test_format_report_mentions_every_bench():
-    report = perfbench.run_all(quick=True)
+def test_format_report_mentions_every_bench(report):
     text = perfbench.format_report(report)
     for name in BENCH_NAMES:
         assert name in text
 
 
-def test_cli_json_artifact(tmp_path, capsys):
+def test_cli_json_artifact(report, monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def run_all(quick=False, jobs=1, only=None):
+        calls.append((quick, jobs, only))
+        return copy.deepcopy(report)
+
+    monkeypatch.setattr(perfbench, "run_all", run_all)
     out = tmp_path / "BENCH_simulator.json"
     rc = perfbench.main(["--quick", "--json", "--out", str(out)])
     assert rc == 0
+    assert calls == [(True, 1, None)]
     on_disk = json.loads(out.read_text())
     assert on_disk["schema"] == perfbench.SCHEMA
     assert set(on_disk["benchmarks"]) == set(BENCH_NAMES)

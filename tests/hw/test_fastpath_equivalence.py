@@ -191,10 +191,12 @@ def test_install_key_purges_keystream_cache():
                            cache_lines=8)
     ctl.install_key(1, KEY_A)
     ctl.write(0x2000, b"S" * CACHE_LINE, c_bit=True, asid=1)
+    ctl.read(0x4000, 2 * CACHE_LINE, c_bit=True, asid=1)  # a span read
     assert any(entry[0] == KEY_A for entry in crypto._line_cache)
+    assert any(entry[0] == KEY_A for entry in crypto._span_cache)
     ctl.install_key(1, KEY_B)              # rotation purges KEY_A
     assert not any(entry[0] == KEY_A for entry in crypto._line_cache)
-    assert not any(entry[0] == KEY_A for entry in crypto._midstate_cache)
+    assert not any(entry[0] == KEY_A for entry in crypto._span_cache)
 
 
 def test_uninstall_key_purges_keystream_cache():

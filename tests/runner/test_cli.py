@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import cli as fidelint_cli
 from repro.eval import __main__ as eval_cli
 from repro.eval import fleetbench, perfbench
 from repro.faults import soak
@@ -10,7 +9,6 @@ from repro.faults import soak
 #: each CLI, with arguments that keep its run short should ``--jobs`` be
 #: accepted after all
 CLIS = {
-    "repro.analysis": (fidelint_cli.main, ["--list-rules"]),
     "repro.eval": (eval_cli.main, ["xsa"]),
     "repro.eval.perfbench": (perfbench.main,
                              ["--quick", "--only", "keystream"]),
