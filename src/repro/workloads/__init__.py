@@ -18,7 +18,6 @@ from repro.workloads.profiles import (
 )
 from repro.workloads.tracegen import (
     CacheModel,
-    generate_span_trace,
     generate_trace,
     simulate_misses,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "SPEC_PROFILES",
     "PARSEC_PROFILES",
     "CacheModel",
-    "generate_span_trace",
     "generate_trace",
     "simulate_misses",
     "FioRunner",

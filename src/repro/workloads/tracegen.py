@@ -9,69 +9,38 @@ matching one.
 """
 
 import random
+from collections import OrderedDict
 
 from repro.common.constants import CACHE_LINE_SHIFT
 
 
 class CacheModel:
-    """A set of LRU cache lines (the last level before DRAM)."""
+    """A set of LRU cache lines (the last level before DRAM).
+
+    ``_order`` holds the resident lines least recently used first, so a
+    hit moves its line to the end and a miss at capacity evicts the
+    first: both O(1).
+    """
 
     def __init__(self, lines=4096):
         self.lines = lines
-        self._order = {}
-        self._tick = 0
+        self._order = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def access(self, address):
         """True if the access misses to DRAM."""
         line = address >> CACHE_LINE_SHIFT
-        self._tick += 1
-        if line in self._order:
-            self._order[line] = self._tick
+        order = self._order
+        if line in order:
+            order.move_to_end(line)
             self.hits += 1
             return False
         self.misses += 1
-        if len(self._order) >= self.lines:
-            victim = min(self._order, key=self._order.get)
-            del self._order[victim]
-        self._order[line] = self._tick
+        if len(order) >= self.lines:
+            order.popitem(last=False)
+        order[line] = None
         return True
-
-    def access_span(self, address, length):
-        """Access every line of the contiguous ``[address, address +
-        length)`` range in ascending order; returns the DRAM misses.
-
-        *Defined* to equal ``length >> CACHE_LINE_SHIFT`` individual
-        :meth:`access` calls — same hits, misses, tick sequence and
-        victim choices (a line evicted by an earlier miss of the same
-        span misses again when the span reaches it, exactly as it would
-        per-access).  The batching saves the per-access Python call and
-        attribute traffic, which is what the span-level trace format
-        exists for.
-        """
-        first = address >> CACHE_LINE_SHIFT
-        last = (address + length - 1) >> CACHE_LINE_SHIFT
-        order = self._order
-        tick = self._tick
-        lines = self.lines
-        hits = 0
-        misses = 0
-        for line in range(first, last + 1):
-            tick += 1
-            if line in order:
-                order[line] = tick
-                hits += 1
-                continue
-            misses += 1
-            if len(order) >= lines:
-                victim = min(order, key=order.get)
-                del order[victim]
-            order[line] = tick
-        self._tick = tick
-        self.hits += hits
-        self.misses += misses
-        return misses
 
     @property
     def miss_ratio(self):
@@ -101,54 +70,8 @@ def generate_trace(profile, accesses, seed=0xACE5):
     return trace
 
 
-def generate_span_trace(profile, accesses, seed=0xACE5):
-    """The span-level form of :func:`generate_trace`.
-
-    Same RNG, same decisions, same line sequence — but consecutive
-    streaming accesses (which advance the cursor one line at a time,
-    i.e. are physically contiguous) are coalesced into one
-    ``(address, length)`` span, and each hot access becomes a one-line
-    span.  Flattening the spans line by line reproduces
-    :func:`generate_trace` exactly; batched consumers get one
-    :meth:`CacheModel.access_span` call per span instead of one
-    :meth:`CacheModel.access` call per line.
-    """
-    rng = random.Random(seed)
-    miss_ratio = profile.miss_ratio
-    hot_lines = 1024
-    line_bytes = 1 << CACHE_LINE_SHIFT
-    streaming_cursor = 1 << 30  # far above the hot region
-    spans = []
-    run_start = 0
-    run_len = 0
-    for _ in range(accesses):
-        if rng.random() < miss_ratio:
-            streaming_cursor += line_bytes
-            if run_len:
-                run_len += 1
-            else:
-                run_start = streaming_cursor
-                run_len = 1
-        else:
-            if run_len:
-                spans.append((run_start, run_len * line_bytes))
-                run_len = 0
-            spans.append((rng.randrange(hot_lines) << CACHE_LINE_SHIFT,
-                          line_bytes))
-    if run_len:
-        spans.append((run_start, run_len * line_bytes))
-    return spans
-
-
-def simulate_misses(profile, accesses=60_000, seed=0xACE5, cache_lines=4096,
-                    batched=True):
-    """Run the trace through the cache; returns (misses, accesses).
-
-    ``batched`` selects the span-level trace and
-    :meth:`CacheModel.access_span`; both paths are exactly equivalent
-    (the differential test pins it), the batched one just spends fewer
-    Python calls getting there.
-    """
+def simulate_misses(profile, accesses=60_000, seed=0xACE5, cache_lines=4096):
+    """Run the trace through the cache; returns (misses, accesses)."""
     cache = CacheModel(lines=cache_lines)
     # Warm the hot working set so compulsory misses don't distort the
     # steady-state miss ratio of low-MPKI benchmarks.
@@ -156,11 +79,6 @@ def simulate_misses(profile, accesses=60_000, seed=0xACE5, cache_lines=4096,
         cache.access(line << CACHE_LINE_SHIFT)
     cache.hits = 0
     cache.misses = 0
-    if batched:
-        for address, length in generate_span_trace(profile, accesses,
-                                                   seed=seed):
-            cache.access_span(address, length)
-    else:
-        for address in generate_trace(profile, accesses, seed=seed):
-            cache.access(address)
+    for address in generate_trace(profile, accesses, seed=seed):
+        cache.access(address)
     return cache.misses, accesses

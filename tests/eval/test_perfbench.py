@@ -13,12 +13,16 @@ report instead of running them again.
 
 import copy
 import json
+import os
 
 import pytest
 
 from repro.eval import perfbench
 
 BENCH_NAMES = ("keystream", "enc_rw_mix", "walker_tlb", "guest_macro")
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +81,26 @@ def test_cli_json_artifact(report, monkeypatch, tmp_path, capsys):
     # stdout carries the same JSON for log scraping
     printed = json.loads(capsys.readouterr().out)
     assert printed == on_disk
+
+
+def _key_paths(node, path=()):
+    """Every nested key path of a JSON value; list items share ``[]``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for item in node:
+            yield from _key_paths(item, path + ("[]",))
+    else:
+        yield path
+
+
+def test_committed_artifact_has_the_report_keys(report):
+    """``BENCH_simulator.json`` carries exactly the keys a run reports,
+    so a counter the code no longer keeps cannot linger in it.
+    Regenerate with ``python -m repro.eval.perfbench --json --out
+    BENCH_simulator.json``."""
+    with open(os.path.join(REPO_ROOT, "BENCH_simulator.json")) as handle:
+        committed = json.load(handle)
+    fresh = json.loads(json.dumps(report))
+    assert set(_key_paths(committed)) == set(_key_paths(fresh))

@@ -117,6 +117,10 @@ class CacheAgainstLruModel(RuleBasedStateMachine):
     def occupancy_bounded(self):
         assert len(self.lru) <= self.CAPACITY
 
+    @invariant()
+    def recency_order_matches(self):
+        assert list(self.cache._order) == self.lru
+
 
 class MemctrlReadYourWrites(RuleBasedStateMachine):
     """Arbitrary interleavings of encrypted/plain writes must always
