@@ -14,7 +14,8 @@ unique function, ``x.attr`` only when unique.  One addition on top:
 **dispatch tables**.  A module-level ``TABLE = {"k": fn, ...}`` whose
 values are module-level functions, called as ``TABLE[key](...)``, adds
 an edge to *every* value — the over-approximation that lets the
-shard-purity rule see through ``perfbench``'s ``BENCH_FNS`` indirection.
+effect rules see through dispatch such as ``repro.eval.__main__``'s
+``COMMANDS`` table.
 
 Unresolved calls simply contribute no edge; the effect analyses treat
 them as effect-free, which is the documented under-approximation of the

@@ -15,9 +15,8 @@ free of the effects process boundaries do not replicate:
   writing a ``constant``-classified binding is always a bug;
 * **ambient entropy** — unseeded RNG draws diverge per worker;
 * **host clock reads** — legal only in the allowlisted timing-only
-  modules (the executor's own timeout machinery, perfbench's
-  measurement loops), which never feed wall-clock into modelled
-  results.
+  module (the executor's own timeout machinery), which never feeds
+  wall-clock into modelled results.
 
 The rule scans every module for ``WorkUnit(...)`` / ``WorkUnit.of(...)``
 construction sites, resolves the ``fn`` argument with the call-graph's
@@ -37,11 +36,10 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 
 #: modules whose wall-clock reads are the *point* (unit timeouts,
-#: utilization, bench timing); FID007 suppressions in these
-#: modules document why the readings never enter modelled results
+#: utilization); their FID007 suppressions document why the readings
+#: never enter modelled results
 TIMING_ALLOWED_MODULES = frozenset({
     "repro.runner.executor",
-    "repro.eval.perfbench",
 })
 
 

@@ -102,16 +102,12 @@ class Cloud(ControlPlane):
         """Fleet-wide simulator fast-path counters, one call per cloud.
 
         Sums every host's :meth:`~repro.hw.machine.Machine.perf_stats`
-        hierarchy counters.  The keystream cache is process-global (one
+        TLB counters.  The keystream cache is process-global (one
         cache serves every machine), so it is reported once rather than
         summed; the TLBs' per-root occupancy maps collapse into a total
         entry count (root PFNs are meaningless across hosts).
         """
         per_host = [host.machine.perf_stats() for host in self.hosts]
-        memctrl = {}
-        for stats in per_host:
-            for key, value in stats["memctrl"].items():
-                memctrl[key] = memctrl.get(key, 0) + value
         tlb = {"hits": 0, "misses": 0, "evictions": 0, "entries": 0,
                "roots": 0, "root_index_entries": 0}
         for stats in per_host:
@@ -123,7 +119,6 @@ class Cloud(ControlPlane):
         return {
             "hosts": len(self.hosts),
             "keystream_cache": crypto.keystream_cache_stats(),
-            "memctrl": memctrl,
             "tlb": tlb,
             "events": {
                 "recorded": self.events_recorded,

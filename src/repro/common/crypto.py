@@ -95,7 +95,8 @@ _STAT_COUNTER_KEYS = (
 
 
 def keystream_cache_stats():
-    """Counters and sizes of the keystream caches (perfbench reads these)."""
+    """Counters and sizes of the keystream caches (``Cloud.perf_stats``
+    and the runner's per-unit deltas read these)."""
     return {
         "line_hits": _line_hits,
         "line_misses": _line_misses,

@@ -19,32 +19,20 @@ from repro.common import crypto
 from repro.hw.cpu import Cpu
 from repro.hw.cycles import CycleCounter
 from repro.hw.dma import DmaEngine
-from repro.hw.memctrl import MemoryController, ReferenceMemoryController
+from repro.hw.memctrl import MemoryController
 from repro.hw.memory import FrameAllocator, PhysicalMemory
 from repro.hw.pagetable import PageTableWalker
 from repro.hw.tlb import Tlb
 
 
 class Machine:
-    """One simulated host machine.
+    """One simulated host machine."""
 
-    ``reference_datapath=True`` assembles the board around
-    :class:`ReferenceMemoryController` — the kept-simple encrypted data
-    path — instead of the optimized controller.  Functional outputs and
-    cycle ledgers are identical either way (the differential suite pins
-    this); only wall-clock speed differs.  ``repro.eval.perfbench``
-    boots one machine of each kind to measure the gap.
-    """
-
-    def __init__(self, frames=DEFAULT_MACHINE_FRAMES, seed=0x51EF,
-                 reference_datapath=False, cache_lines=4096):
+    def __init__(self, frames=DEFAULT_MACHINE_FRAMES, seed=0x51EF):
         self.rng = random.Random(seed)
         self.cycles = CycleCounter()
         self.memory = PhysicalMemory(frames)
-        controller_cls = (ReferenceMemoryController if reference_datapath
-                          else MemoryController)
-        self.memctrl = controller_cls(self.memory, self.cycles,
-                                      cache_lines=cache_lines)
+        self.memctrl = MemoryController(self.memory, self.cycles)
         self.allocator = FrameAllocator(frames, reserved=1)
         self.walker = PageTableWalker(self.memory, alloc_frame=self.allocator.alloc)
         self.tlb = Tlb(self.cycles)
@@ -84,15 +72,12 @@ class Machine:
         return self.memory.dump()
 
     def perf_stats(self):
-        """Simulator fast-path diagnostics (wall-clock only, never cycles).
-
-        Future PRs regress against these via ``BENCH_simulator.json``:
-        keystream-cache hit rates, write-allocate copies avoided, and
-        the TLB's occupancy per address-space root.
+        """Simulator fast-path diagnostics (wall-clock only, never cycles):
+        keystream-cache hit rates and the TLB's occupancy per
+        address-space root.
         """
         return {
             "keystream_cache": crypto.keystream_cache_stats(),
-            "memctrl": self.memctrl.perf_counters(),
             "tlb": {
                 "hits": self.tlb.hits,
                 "misses": self.tlb.misses,

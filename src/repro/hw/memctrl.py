@@ -120,17 +120,6 @@ class MemoryController:
         self._slots = {}
         self._cache = OrderedDict()
         self._cache_lines = cache_lines
-        #: wall-clock diagnostics (no architectural meaning):
-        #: single-line fast-path uses and write-allocate reads avoided.
-        self.fast_single_line = 0
-        self.line_copies_avoided = 0
-
-    def perf_counters(self):
-        """Fast-path diagnostics for :meth:`Machine.perf_stats`."""
-        return {
-            "fast_single_line": self.fast_single_line,
-            "line_copies_avoided": self.line_copies_avoided,
-        }
 
     # -- key slot management (issued by the SEV firmware only) -------------
 
@@ -210,7 +199,6 @@ class MemoryController:
         off = pa - line_pa
         if off + length <= CACHE_LINE:
             # Single-line fast path: no piece list, one slice out.
-            self.fast_single_line += 1
             cached = self._cache.get(line_pa)
             if cached is not None:
                 # Plaintext hit regardless of who asks: the leak channel.
@@ -358,7 +346,6 @@ class MemoryController:
             # Whole line overwritten: the write-allocate fetch would be
             # patched over entirely, so skip it (same bytes, same charges).
             self.memory.write(line_pa, ct)
-            self.line_copies_avoided += 1
             cache[line_pa] = bytes(chunk)
         else:
             self.memory.write(line_pa + off, ct)
@@ -391,7 +378,6 @@ class MemoryController:
         off = pa - line_pa
         if off + length <= CACHE_LINE:
             # Single-line fast path: no piece list, no chunk copies.
-            self.fast_single_line += 1
             self._write_line(key, line_pa, off,
                              data if isinstance(data, bytes) else bytes(data))
             return
@@ -414,7 +400,6 @@ class MemoryController:
             charge(_ENC_LINE_CYCLES, "mem-write-enc")
             ct_parts.append(crypto.xex_line_encrypt(key, line_pa, chunk, off))
             if take == CACHE_LINE:
-                self.line_copies_avoided += 1
                 cache[line_pa] = bytes(chunk)
             else:
                 cached = cache.get(line_pa)
@@ -517,8 +502,9 @@ class ReferenceMemoryController(MemoryController):
     cache, byte-at-a-time XOR).  The differential suite drives this
     class and :class:`MemoryController` in lockstep over randomized op
     sequences and asserts byte-identical memory, byte-identical reads
-    and identical cycle ledgers; ``repro.eval.perfbench`` uses it as
-    the wall-clock baseline.  Do not optimize this class.
+    and identical cycle ledgers; it also boots whole systems whose guest
+    workload must end with the same digest, ledger and DRAM as on the
+    optimized controller.  Do not optimize this class.
     """
 
     def read(self, pa, length, c_bit=False, asid=HOST_ASID):

@@ -158,7 +158,7 @@ class Tlb:
                 yield (root_pfn, vpn), translation
 
     def root_index_sizes(self):
-        """root_pfn -> live-entry count (perfbench/diagnostics)."""
+        """root_pfn -> live-entry count (diagnostics)."""
         return {root: n for root, n in self._live.items() if n}
 
     def __len__(self):

@@ -2,12 +2,12 @@
 
 Everything above one :class:`~repro.system.System` — the chaos soak's
 seed sweep, the eval figure suites, the attack matrix, the sensitivity
-sweeps, the perfbench suite, the fleet campaign's regions — is a list
-of shared-nothing simulations.  This package runs such a list of
-:class:`WorkUnit`\\ s either serially in-process or on a persistent
-worker pool (``--jobs N`` on every CLI it backs) while guaranteeing
-that the *aggregated output is byte-identical to the serial run*:
-results are re-sorted into submission order before merging, and
+sweeps, the fleet campaign's regions — is a list of shared-nothing
+simulations.  This package runs such a list of :class:`WorkUnit`\\ s
+either serially in-process or on a persistent worker pool
+(``--jobs N`` on every CLI it backs) while guaranteeing that the
+*aggregated output is byte-identical to the serial run*: results are
+re-sorted into submission order before merging, and
 :mod:`repro.runner.merge` provides the canonical digests that tests
 and CI compare.
 

@@ -13,10 +13,12 @@ whichever worker finished first.
   processes.  A new worker is handed its first unit the moment it is
   spawned, and takes the next pending unit whenever it goes idle, so
   process-global derived caches (the keystream line and span
-  LRUs) stay warm across the units one worker runs — the
-  registry-audited shard-purity rule (FID013) is what makes that safe:
-  work units cannot mutate unregistered module state, so a warm cache
-  can change wall-clock but never results.  With ``jobs`` at least the
+  LRUs) stay warm across the units one worker runs.  A warm cache may
+  change wall-clock but never results.  Two runtime differentials check
+  that: ``tests/runner/test_pool.py`` against a serial run that empties
+  every registered derived cache before each unit, and CI's soak at
+  ``--jobs 20``.  The shard-purity rule (FID013) adds a static check
+  over the calls its call graph resolves.  With ``jobs`` at least the
   number of units, every unit runs in a new process of its own.  Units
   travel to workers, and results travel back, as one pickled byte blob
   each way, so the spawn/serialize overhead is measurable: the

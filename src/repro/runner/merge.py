@@ -7,9 +7,9 @@ SHA-256 over a JSON rendering in which dataclasses, bytes, sets and
 tuples all have one fixed spelling.
 
 Wall-clock fields are the one thing sharding is *allowed* to change;
-:func:`strip_timing` removes them (``*_s``, ``speedup``, per-shard
-counters) so bench reports can also be digest-compared across jobs
-settings.
+:func:`strip_timing` removes them (``*_s`` and the ``sharding``
+section with its per-shard counters) so bench reports can also be
+digest-compared across jobs settings.
 """
 
 import dataclasses
@@ -17,10 +17,9 @@ import hashlib
 import json
 
 #: Key names (and suffixes) that carry host wall-clock, never model state.
-TIMING_KEY_SUFFIXES = ("_s", "_us")
+TIMING_KEY_SUFFIXES = ("_s",)
 TIMING_KEYS = frozenset({
-    "speedup", "per_translation_us", "sharding", "utilization",
-    "host_cpus", "jobs", "worker",
+    "sharding", "utilization", "host_cpus", "jobs", "worker",
 })
 
 
@@ -60,8 +59,8 @@ def _is_timing_key(key):
 def strip_timing(value):
     """Recursively drop wall-clock-bearing dict keys.
 
-    Applied before digesting artifacts like the perfbench report, whose
-    deterministic content (cycle ledgers, digests, equivalence flags)
+    Applied before digesting artifacts like the fleetbench report, whose
+    deterministic content (cycle charges, digests, the lockstep verdict)
     must not vary with ``--jobs`` while its timings naturally do.
     """
     if isinstance(value, dict):

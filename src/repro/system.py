@@ -32,8 +32,7 @@ class System:
 
     @classmethod
     def create(cls, fidelius=True, frames=4096, seed=0x51EF, lazy_npt=False,
-               iommu=False, sev_es=False, reference_datapath=False,
-               cache_lines=4096):
+               iommu=False, sev_es=False):
         """Boot a host.
 
         With ``fidelius=True`` the SEV platform INIT runs inside
@@ -42,14 +41,9 @@ class System:
         the baseline configuration.  ``sev_es=True`` models the SEV-ES
         hardware on a baseline host (the paper's "remaining problems"
         configuration).  ``iommu=True`` adds the beyond-the-paper
-        device-DMA protection extension.  ``reference_datapath=True``
-        boots on the kept-simple encrypted data path (see
-        :class:`repro.hw.machine.Machine`) — functionally identical,
-        slower; perfbench's baseline.
+        device-DMA protection extension.
         """
-        machine = Machine(frames=frames, seed=seed,
-                          reference_datapath=reference_datapath,
-                          cache_lines=cache_lines)
+        machine = Machine(frames=frames, seed=seed)
         machine.build_host_address_space()
         firmware = SevFirmware(machine)
         hypervisor = Hypervisor(machine, firmware)

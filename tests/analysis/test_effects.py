@@ -109,8 +109,8 @@ def test_recursion_reaches_a_fixpoint(tmp_path):
 
 
 def test_dispatch_table_edges_propagate_effects(tmp_path):
-    # perfbench-style: the only call is TABLE[name](...), so without
-    # dispatch-table resolution the write below would be invisible.
+    # the only call is TABLE[name](...), as in repro.eval's COMMANDS,
+    # so without dispatch-table resolution the write would be invisible.
     root = _make_tree(tmp_path, {"eval/mod.py": """\
         _HITS = []
 
@@ -205,28 +205,45 @@ def test_fid015_sees_through_alias_and_helper():
         f.module for f in syntactic.findings}
 
 
-def test_registered_reset_acceptance_on_live_crypto(monkeypatch):
-    # The keystream caches are written by shard-reachable crypto code
-    # (perfbench submits _run_bench, which reaches them through the
-    # BENCH_FNS dispatch table); FID013 accepts the writes *because*
-    # the bindings are registered with a reset hook.  Dropping the
+def test_registered_reset_acceptance_on_live_crypto(tmp_path, monkeypatch):
+    # The keystream caches are written by shard-reachable crypto code;
+    # FID013 accepts the writes *because* the bindings are registered
+    # with a reset hook.  No live WorkUnit reaches crypto through a call
+    # the graph resolves, so the shard here is seeded.  Dropping the
     # registry entries must flip both FID013 (the write becomes
     # unregistered) and FID014 (the binding loses its inventory entry).
     assert lookup("repro.common.crypto", "_line_cache").reset \
         == "clear_keystream_cache"
+    root = _copy_live_tree(tmp_path)
+    shard = os.path.join(root, "repro", "eval", "seeded_crypto.py")
+    with open(shard, "w", encoding="utf-8") as handle:
+        handle.write(textwrap.dedent("""\
+            from repro.common import crypto
+            from repro.runner import WorkUnit, execute
+
+
+            def _step(seed):
+                return crypto.xex_line_encrypt(b"k" * 16, seed << 6, b"x")
+
+
+            def sweep(seeds):
+                units = [WorkUnit.of(s, _step, s) for s in seeds]
+                return execute(units).values()
+            """))
+    rules = ["FID013", "FID014"]
+    assert not analyze(root, baseline_path=None, select=rules).findings
 
     from repro.common import state_registry
     stripped = {key: entry for key, entry in state_registry.REGISTRY.items()
                 if key[0] != "repro.common.crypto"}
     monkeypatch.setattr(state_registry, "REGISTRY", stripped)
 
-    broken = analyze(SRC_ROOT, baseline_path=None,
-                     select=["FID013", "FID014"])
-    fired = {f.rule_id for f in broken.findings}
-    assert fired == {"FID013", "FID014"}
-    # the purity failure lands at the perfbench WorkUnit site
-    assert any(f.module == "repro.eval.perfbench" and
-               "unregistered" in f.message for f in broken.findings)
+    broken = analyze(root, baseline_path=None, select=rules)
+    fired = {(f.rule_id, f.module) for f in broken.findings}
+    assert fired == {("FID013", "repro.eval.seeded_crypto"),
+                     ("FID014", "repro.common.crypto")}
+    assert all("unregistered" in f.message for f in broken.findings
+               if f.rule_id == "FID013")
 
 
 # --------------------------------------------- live tree + seeded regression

@@ -1,10 +1,10 @@
 """Smoke tests for ``repro.eval.fleetbench`` at CI sizes.
 
-As with perfbench, nothing here asserts wall-clock numbers — CI boxes
-are noisy.  What must never be flaky is the report schema, the
-deterministic-digest contract (serial and sharded runs agree byte for
-byte once the measured ``sharding`` section is stripped), and the
-``--check`` gate's ability to actually fail.
+Nothing here asserts wall-clock numbers — CI boxes are noisy.  What
+must never be flaky is the report schema, the deterministic-digest
+contract (serial and sharded runs agree byte for byte once the
+measured ``sharding`` section is stripped), and the ``--check`` gate's
+ability to actually fail.
 
 Every report runs the smoke campaign and the lockstep differential, so
 the module builds one serial and one ``--jobs 2`` report; a test that

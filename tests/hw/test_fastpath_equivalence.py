@@ -9,7 +9,9 @@ reads, byte-identical final DRAM and identical cycle ledgers — totals,
 per-reason buckets and event counts.  The crypto primitives get the
 same treatment against their ``_reference_*`` oracles, and the
 structural attack surfaces (cross-ASID plaintext-cache hit, replay,
-key rotation) are re-pinned on the optimized path.
+key rotation) are re-pinned on the optimized path.  A whole booted
+:class:`~repro.system.System` must also end a guest workload with the
+same digest, ledger and DRAM on either controller.
 """
 
 import random
@@ -18,6 +20,7 @@ import pytest
 
 from repro.common import crypto
 from repro.common.constants import CACHE_LINE, PAGE_SIZE
+from repro.hw import machine
 from repro.hw.cycles import CycleCounter
 from repro.hw.memctrl import (
     MemoryController,
@@ -26,6 +29,8 @@ from repro.hw.memctrl import (
 )
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
+from repro.system import GuestOwner, System
+from repro.workloads.guestprogs import CryptoWorker
 
 KEY_A = b"A" * 16
 KEY_B = b"B" * 16
@@ -109,6 +114,45 @@ def test_randomized_lockstep_equivalence(seed):
     assert fast.cycles.total == ref.cycles.total
     assert fast.cycles.by_reason == ref.cycles.by_reason
     assert fast.cycles.events == ref.cycles.events
+
+
+def _system_workload(fidelius):
+    """Boot one host, run the span-batched CryptoWorker on an encrypted
+    working set larger than the plaintext cache, return (digest,
+    machine)."""
+    crypto.clear_keystream_cache()
+    system = System.create(fidelius=fidelius, frames=1024, seed=0xBE7C)
+    pages = 72
+    if fidelius:
+        _domain, ctx = system.boot_protected_guest(
+            "eq", GuestOwner(seed=0xBE7C), payload=b"eq",
+            guest_frames=pages + 48)
+    else:
+        _domain, ctx = system.create_baseline_sev_guest(
+            "eq", guest_frames=pages + 48)
+    worker = CryptoWorker(ctx, first_gfn=40, pages=pages, encrypted=True,
+                          batched=True)
+    return worker.run(2), system.machine
+
+
+@pytest.mark.parametrize("fidelius", [False, True],
+                         ids=["sev-baseline", "fidelius"])
+def test_whole_system_matches_on_the_reference_controller(fidelius,
+                                                          monkeypatch):
+    """The same System booted twice, the second time with every Machine
+    built around the reference controller: equal workload digest,
+    equal cycle ledger from boot on, byte-equal DRAM."""
+    fast_digest, fast = _system_workload(fidelius)
+    monkeypatch.setattr(machine, "MemoryController",
+                        ReferenceMemoryController)
+    ref_digest, ref = _system_workload(fidelius)
+    assert type(fast.memctrl) is MemoryController
+    assert type(ref.memctrl) is ReferenceMemoryController
+    assert fast_digest == ref_digest
+    assert fast.cycles.total == ref.cycles.total
+    assert fast.cycles.by_reason == ref.cycles.by_reason
+    assert fast.cycles.events == ref.cycles.events
+    assert fast.memory.dump() == ref.memory.dump()
 
 
 def test_cache_state_tracks_reference():

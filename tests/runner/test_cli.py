@@ -3,15 +3,13 @@
 import pytest
 
 from repro.eval import __main__ as eval_cli
-from repro.eval import fleetbench, perfbench
+from repro.eval import fleetbench
 from repro.faults import soak
 
 #: each CLI, with arguments that keep its run short should ``--jobs`` be
 #: accepted after all
 CLIS = {
     "repro.eval": (eval_cli.main, ["xsa"]),
-    "repro.eval.perfbench": (perfbench.main,
-                             ["--quick", "--only", "keystream"]),
     "repro.eval.fleetbench": (fleetbench.main, ["--profile", "smoke"]),
     "repro.faults.soak": (soak.main, ["--seeds", "1"]),
 }

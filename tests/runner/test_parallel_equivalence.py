@@ -5,7 +5,6 @@ runner backs.  CI repeats the soak check at full 20-seed size in the
 """
 
 from repro.attacks.suite import ALL_ATTACKS, run_matrix
-from repro.eval import perfbench
 from repro.eval.macro import run_figure
 from repro.eval.sensitivity import encryption_latency_sweep, exit_rate_sweep
 from repro.faults.soak import results_digest, soak, soak_report
@@ -57,16 +56,3 @@ class TestAttackEquivalence:
         assert serial == sharded
         assert [row.name for row in sharded] == \
             [fn.attack_name for fn in subset]
-
-
-class TestPerfbenchEquivalence:
-    def test_deterministic_digest_equal_across_jobs(self):
-        serial = perfbench.run_all(quick=True)
-        sharded = perfbench.run_all(quick=True, jobs=2)
-        assert perfbench.deterministic_digest(serial) == \
-            perfbench.deterministic_digest(sharded)
-        sharding = sharded["sharding"]
-        assert sharding["jobs"] == 2
-        assert sharding["host_cpus"] >= 1
-        assert len(sharding["shards"]) == len(sharded["benchmarks"])
-        assert all(s["ok"] for s in sharding["shards"])

@@ -67,8 +67,6 @@ class TestDigest:
         report = {
             "cycles_total": 10,
             "optimized_s": 1.5,
-            "per_translation_us": 2.0,
-            "speedup": 4.0,
             "sharding": {"jobs": 2},
             "nested": [{"elapsed_s": 0.1, "ok": True}],
         }

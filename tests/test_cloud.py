@@ -174,9 +174,6 @@ class TestFleetPerfStats:
             assert stats["tlb"][key] == sum(s["tlb"][key] for s in per_host)
         assert stats["tlb"]["root_index_entries"] == sum(
             sum(s["tlb"]["root_index_sizes"].values()) for s in per_host)
-        for key in per_host[0]["memctrl"]:
-            assert stats["memctrl"][key] == sum(
-                s["memctrl"][key] for s in per_host)
 
     def test_keystream_cache_reported_once_not_summed(self):
         from repro.common import crypto
@@ -264,9 +261,6 @@ class TestIncrementalPerfStats:
             assert stats["tlb"][key] == sum(s["tlb"][key] for s in per_host)
         assert stats["tlb"]["root_index_entries"] == sum(
             sum(s["tlb"]["root_index_sizes"].values()) for s in per_host)
-        for key in per_host[0]["memctrl"]:
-            assert stats["memctrl"][key] == sum(
-                s["memctrl"][key] for s in per_host)
 
     def test_incremental_equals_full_rewalk(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0xF03)
@@ -281,14 +275,12 @@ class TestIncrementalPerfStats:
         first = cloud.perf_stats()
         second = cloud.perf_stats()
         assert second["tlb"] == first["tlb"]
-        assert second["memctrl"] == first["memctrl"]
 
     def test_only_the_active_host_is_rewalked(self):
         cloud = Cloud(hosts=2, frames=2048, seed=0xF05)
 
         def idle_counters():
-            stats = cloud.host(1).machine.perf_stats()
-            return stats["tlb"], stats["memctrl"]
+            return cloud.host(1).machine.perf_stats()["tlb"]
 
         idle_before = idle_counters()
         t = cloud.launch_tenant("t", GuestOwner(seed=5), host_index=0)

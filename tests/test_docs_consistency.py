@@ -89,6 +89,23 @@ def _md_links(text):
     return set(re.findall(r"\]\(([^):#\s]+\.md)(?:#[^)]*)?\)", text))
 
 
+def _bench_files(text):
+    return set(re.findall(r"\bBENCH_\w+\.json\b", text))
+
+
+def _named_bench_files():
+    """{BENCH_*.json: first file naming it} over the operator Markdown
+    files and every src/ module.  The CI workflow is left out: it names
+    the artifacts its jobs write, which are not committed."""
+    named = {}
+    for path in [p for p in OPERATOR_FILES if p.endswith(".md")] \
+            + SOURCE_FILES:
+        for bench in _bench_files(_read(path)):
+            named.setdefault(bench, os.path.relpath(
+                os.path.join(ROOT, path), ROOT))
+    return named
+
+
 def _missing_test_files(text):
     files = set(re.findall(r"`(tests/[\w/]+\.py)", text))
     assert files
@@ -195,6 +212,17 @@ class TestSourceDocPaths:
         assert len(named) >= 3
         assert sorted((doc, source) for doc, source in named.items()
                       if not os.path.exists(os.path.join(ROOT, doc))) == []
+
+
+class TestBenchArtifacts:
+    def test_every_named_bench_artifact_is_committed(self):
+        assert sorted((bench, source)
+                      for bench, source in _named_bench_files().items()
+                      if not os.path.exists(os.path.join(ROOT, bench))) \
+            == []
+
+    def test_the_bench_check_sees_names(self):
+        assert "BENCH_fleet.json" in _named_bench_files()
 
 
 class TestExamplesAreImportable:
