@@ -17,7 +17,15 @@ attacks and defences exercise:
 
 Key agreement is classic finite-field Diffie-Hellman over the RFC 3526
 1536-bit MODP group, standing in for the ECDH negotiation between the
-guest owner and the SEV firmware.
+guest owner and the SEV firmware.  Each party computes its public value
+on first read and keeps the DH value of its last ``_DH_PEER_MEMO`` peers
+beside its private exponent, so a firmware meeting a host it has agreed
+with before runs no modexp; the value is a pure function of the peer
+value and the exponent and the nonce is still hashed in per call, so
+every master secret equals a fresh computation.  The memo is bounded because peer
+values come from the untrusted hypervisor and every launch brings one
+that never recurs, and it dies with the exponent it was derived from
+(``docs/performance.md``, "Key agreement", has the measured saving).
 
 Fast path vs. reference path
 ----------------------------
@@ -41,11 +49,13 @@ key.  None of this affects cycle accounting — cycles are charged per
 architectural event by the hardware models, never per Python operation.
 """
 
+import functools
 import hashlib
 import hmac as _hmac
 from collections import OrderedDict
 
 from repro.common.constants import CACHE_LINE, KEY_BYTES, MEASUREMENT_BYTES
+from repro.common.errors import SevError
 
 _DIGEST_BYTES = 32
 #: counter blocks that make up one cached keystream line
@@ -64,6 +74,9 @@ DH_PRIME = int(
     16,
 )
 DH_GENERATOR = 2
+#: peers whose DH value one party keeps, least recently used evicted
+#: first (bounded: see the module doc)
+_DH_PEER_MEMO = 16
 
 
 # -- keystream caches (simulator state; secret-bearing, see module doc) ------
@@ -376,20 +389,35 @@ class DiffieHellman:
 
     def __init__(self, rng):
         self._private = rng.randrange(2, DH_PRIME - 2)
-        self.public = pow(DH_GENERATOR, self._private, DH_PRIME)
+        #: peer public value -> DH value bytes, least recent first
+        self._shared = OrderedDict()
+
+    @functools.cached_property
+    def public(self):
+        return pow(DH_GENERATOR, self._private, DH_PRIME)
 
     def shared_secret(self, peer_public, nonce):
         """The master secret ``S_m``: DH(shared) mixed with the guest nonce.
 
         Only the two parties holding a private key can compute it; the
         hypervisor relaying ``peer_public`` and ``nonce`` in the middle
-        cannot (Section 4.3.2).
+        cannot (Section 4.3.2).  An out-of-range or non-integer peer
+        value fails closed with ``INVALID_CERTIFICATE``.
         """
-        if not 2 <= peer_public <= DH_PRIME - 2:
-            raise ValueError("invalid DH public value")
-        z = pow(peer_public, self._private, DH_PRIME)
+        if not isinstance(peer_public, int) \
+                or not 2 <= peer_public <= DH_PRIME - 2:
+            raise SevError("INVALID_CERTIFICATE", "invalid DH public value")
+        z = self._shared.get(peer_public)
+        if z is None:
+            z = pow(peer_public, self._private, DH_PRIME).to_bytes(
+                (DH_PRIME.bit_length() + 7) // 8, "big")
+            self._shared[peer_public] = z
+            if len(self._shared) > _DH_PEER_MEMO:
+                self._shared.popitem(last=False)
+        else:
+            self._shared.move_to_end(peer_public)
         h = hashlib.sha256()
-        h.update(z.to_bytes((DH_PRIME.bit_length() + 7) // 8, "big"))
+        h.update(z)
         h.update(b"|master|")
         h.update(nonce)
         return h.digest()

@@ -158,11 +158,12 @@ def boot_portable_guest(fidelius, name, image, wrapped_gek, owner_public,
         raise ReproError("guest smaller than its kernel image")
     hypervisor = fidelius.hypervisor
     firmware = fidelius.firmware
+    # an invalid owner value fails here, before there is a domain to leak
+    master = firmware._dh.shared_secret(owner_public, owner_nonce)
+    kek = crypto.derive_key(master, "gek-kek")
     domain = hypervisor.create_domain(name, guest_frames, sev=True)
 
     engine = CustomKeyEngine(firmware)
-    master = firmware._dh.shared_secret(owner_public, owner_nonce)
-    kek = crypto.derive_key(master, "gek-kek")
     with fidelius.gates.firmware_gate():
         gek_id = engine.import_wrapped(wrapped_gek, kek)
         handle = firmware.launch_start(policy=image.policy)

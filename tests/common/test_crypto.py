@@ -1,11 +1,14 @@
 """Tests for the simulated cryptography primitives."""
 
+import builtins
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import crypto
+from repro.common.errors import SevError
 
 KEY_A = b"A" * 16
 KEY_B = b"B" * 16
@@ -70,6 +73,17 @@ class TestKeyWrap:
             crypto.unwrap_key(KEY_A, (evil, tag))
 
 
+def _twin_private(seed):
+    """The private exponent a ``DiffieHellman(Random(seed))`` draws."""
+    return random.Random(seed).randrange(2, crypto.DH_PRIME - 2)
+
+
+def _master(peer, private, nonce):
+    z = builtins.pow(peer, private, crypto.DH_PRIME)
+    return hashlib.sha256(
+        z.to_bytes(192, "big") + b"|master|" + nonce).digest()
+
+
 class TestDiffieHellman:
     def test_agreement(self):
         alice = crypto.DiffieHellman(random.Random(1))
@@ -92,12 +106,66 @@ class TestDiffieHellman:
         assert alice.shared_secret(bob.public, b"x" * 16) != \
             alice.shared_secret(bob.public, b"y" * 16)
 
-    def test_invalid_public_value_rejected(self):
+    def test_invalid_public_value_rejected(self, modexps):
+        """On every call, also after valid ones: ``7.0`` hashes like the
+        memoised ``7`` and must not be served from the memo."""
         alice = crypto.DiffieHellman(random.Random(1))
-        with pytest.raises(ValueError):
-            alice.shared_secret(1, b"n")
-        with pytest.raises(ValueError):
-            alice.shared_secret(crypto.DH_PRIME - 1, b"n")
+        bad = (0, 1, -7, crypto.DH_PRIME - 1, crypto.DH_PRIME, 7.0, "7",
+               None)
+        for peer in bad:
+            with pytest.raises(SevError, match="invalid DH public value"):
+                alice.shared_secret(peer, b"n")
+        alice.shared_secret(7, b"n")
+        for peer in bad:
+            with pytest.raises(SevError) as caught:
+                alice.shared_secret(peer, b"n")
+            assert caught.value.status == "INVALID_CERTIFICATE"
+        assert len(modexps) == 1
+
+    def test_construction_draws_one_exponent_and_runs_no_modexp(
+            self, modexps):
+        rng = random.Random(5)
+        twin = random.Random(5)
+        crypto.DiffieHellman(rng)
+        twin.randrange(2, crypto.DH_PRIME - 2)
+        assert rng.getstate() == twin.getstate()
+        assert modexps == []
+
+    def test_public_costs_one_modexp_however_often_read(self, modexps):
+        dh = crypto.DiffieHellman(random.Random(5))
+        values = {dh.public for _ in range(3)}
+        assert values == {builtins.pow(crypto.DH_GENERATOR,
+                                       _twin_private(5), crypto.DH_PRIME)}
+        assert len(modexps) == 1
+
+    def test_repeated_peer_costs_one_modexp_and_stays_exact(self, modexps):
+        dh = crypto.DiffieHellman(random.Random(5))
+        private = _twin_private(5)
+        for nonce in (b"a" * 16, b"b" * 16, b"a" * 16):
+            assert dh.shared_secret(7, nonce) == _master(7, private, nonce)
+        assert len(modexps) == 1
+        assert dh.shared_secret(11, b"c") == _master(11, private, b"c")
+        assert dh.shared_secret(7, b"d") == _master(7, private, b"d")
+        assert len(modexps) == 2
+
+    def test_evicted_peer_recomputes_to_the_same_value(self, modexps):
+        dh = crypto.DiffieHellman(random.Random(5))
+        first = dh.shared_secret(7, b"n")
+        for peer in range(100, 100 + crypto._DH_PEER_MEMO):
+            dh.shared_secret(peer, b"n")
+        spent = len(modexps)
+        assert dh.shared_secret(7, b"n") == first
+        assert len(modexps) == spent + 1
+
+    def test_recently_used_peer_survives_the_bound(self, modexps):
+        dh = crypto.DiffieHellman(random.Random(5))
+        dh.shared_secret(7, b"n")
+        for peer in range(100, 100 + crypto._DH_PEER_MEMO):
+            dh.shared_secret(7, b"n")
+            dh.shared_secret(peer, b"n")
+        spent = len(modexps)
+        dh.shared_secret(7, b"n")
+        assert len(modexps) == spent
 
 
 class TestMeasurement:

@@ -1,7 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import builtins
+
 import pytest
 
+from repro.common import crypto
 from repro.hw import Machine
 from repro.sev import SevFirmware
 
@@ -18,3 +21,17 @@ def firmware(machine):
     fw = SevFirmware(machine)
     fw.init()
     return fw
+
+
+@pytest.fixture
+def modexps(monkeypatch):
+    """Every ``pow`` the crypto module runs (its DH modexps), as argument
+    tuples."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return builtins.pow(*args)
+
+    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    return calls

@@ -67,6 +67,19 @@ class TestPortableBoot:
                                 owner.dh.public, owner.nonce,
                                 guest_frames=32)
 
+    def test_invalid_owner_public_creates_no_domain(self, owner, portable):
+        from repro.core.invariants import check_invariants
+        image, gek = portable
+        system = System.create(fidelius=True, frames=2048, seed=26)
+        wrapped = wrap_gek_for_platform(
+            owner, gek, system.firmware.platform_public_key)
+        before = dict(system.hypervisor.domains)
+        with pytest.raises(SevError, match="invalid DH public value"):
+            boot_portable_guest(system.fidelius, "x", image, wrapped,
+                                1, owner.nonce, guest_frames=32)
+        assert system.hypervisor.domains == before
+        assert check_invariants(system) == []
+
     def test_tampered_image_fails_measurement(self, owner, portable):
         import dataclasses
         image, gek = portable

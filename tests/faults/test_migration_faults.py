@@ -1,8 +1,11 @@
 """Crash-safe, fail-closed migration under injected firmware faults."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import SevError
+from repro.core import migration
 from repro.core.invariants import check_invariants
 from repro.core.migration import migrate_guest, receive_guest, send_guest
 from repro.faults.inject import arm_system
@@ -104,6 +107,45 @@ class TestTwoPhaseMigration:
                                             target.fidelius)
         assert new_domain.domid in target.hypervisor.domains
         new_ctx.hypercall(hc.HC_SCHED_YIELD)
+
+
+class TestInvalidOriginPublic:
+    """The hypervisor relays the package, so the origin's DH public value
+    reaches RECEIVE_START unchecked; an invalid one must fail closed
+    through the same rollbacks as any other firmware error."""
+
+    def test_receive_rolls_back_the_half_built_domain(self, pair):
+        source, target = pair
+        domain, _ = _boot(source)
+        package = send_guest(source.fidelius, domain,
+                             target.fidelius.firmware.platform_public_key)
+        package = dataclasses.replace(package, origin_public=1)
+        before = dict(target.hypervisor.domains)
+        with pytest.raises(SevError, match="invalid DH public value"):
+            receive_guest(target.fidelius, package)
+        assert target.hypervisor.domains == before
+        assert check_invariants(target) == []
+        assert "migration-receive-failed" in target.fidelius.audit_kinds()
+
+    def test_migration_cancels_the_send(self, pair, monkeypatch):
+        source, target = pair
+        domain, ctx = _boot(source)
+        honest_send = migration.send_guest
+
+        def relay_with_bad_origin(*args):
+            package = honest_send(*args)
+            return dataclasses.replace(package, origin_public=1)
+
+        monkeypatch.setattr(migration, "send_guest", relay_with_bad_origin)
+        with pytest.raises(SevError, match="invalid DH public value"):
+            migrate_guest(source.fidelius, domain, target.fidelius)
+        assert source.firmware.guest_state(domain.sev_handle) \
+            is GuestState.RUNNING
+        ctx.hypercall(hc.HC_SCHED_YIELD)
+        assert "mig" not in _names(target)
+        assert check_invariants(source) == []
+        assert check_invariants(target) == []
+        assert "migration-cancelled" in source.fidelius.audit_kinds()
 
 
 class TestIdempotentReceive:

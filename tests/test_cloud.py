@@ -5,7 +5,9 @@ import pytest
 from repro.cloud import Cloud
 from repro.common.constants import PAGE_SIZE
 from repro.common.errors import ReproError
+from repro.core import migration
 from repro.core.invariants import check_invariants
+from repro.core.lifecycle import read_kernel_payload
 from repro.system import GuestOwner
 from repro.xen import hypercalls as hc
 
@@ -334,3 +336,58 @@ class TestQuarantineLiftAudit:
         assert cloud.lift_quarantine(0)
         assert cloud.event_kinds()[-1] == "quarantine-lifted"
         assert not cloud.quarantined
+
+
+class TestKeyAgreementReuse:
+    """Each SEV firmware keeps the DH value of the peers it has agreed
+    with, so once two hosts have met, migrating between them and
+    rotating a guest's key (Section 4.3.6: snapshot and restore on the
+    same platform) run no 1536-bit modexp."""
+
+    PAYLOAD = b"key agreement survives reuse"
+
+    def _cost(self, modexps, cloud, op):
+        before = len(modexps)
+        op()
+        tenant = cloud.tenants["dh"]
+        tenant.ctx.hypercall(hc.HC_SCHED_YIELD)
+        assert read_kernel_payload(tenant.ctx, len(self.PAYLOAD)) \
+            == self.PAYLOAD
+        tenant.ctx.hypercall(hc.HC_SCHED_YIELD)
+        return len(modexps) - before
+
+    @staticmethod
+    def _rotate(cloud):
+        tenant = cloud.tenants["dh"]
+        host = cloud.host(tenant.host_index)
+        package = migration.snapshot_guest(host.fidelius, tenant.domain)
+        host.hypervisor.destroy_domain(tenant.domain)
+        tenant.domain, tenant.ctx = migration.restore_guest(
+            host.fidelius, package)
+
+    def test_hosts_that_have_met_run_no_modexp(self, modexps):
+        cloud = Cloud(hosts=2, frames=2048, seed=0xD1FF)
+        launch = self._cost(modexps, cloud, lambda: cloud.launch_tenant(
+            "dh", GuestOwner(seed=0xD1), payload=self.PAYLOAD,
+            guest_frames=32, host_index=0))
+        # the image's scratch platform: g^x and SEND_START; the host:
+        # RECEIVE_START.  The owner's own public value is never read.
+        assert launch == 3
+
+        def migrate(to):
+            return self._cost(modexps, cloud,
+                              lambda: cloud.migrate_tenant("dh", to))
+
+        # one value per host pair: each side agrees with the same peer
+        # whichever way the guest travels
+        assert migrate(1) == 2
+        assert migrate(0) == 0
+        # SEND_START and RECEIVE_START of a rotation agree with the same
+        # peer, the platform itself
+        assert self._cost(modexps, cloud, lambda: self._rotate(cloud)) == 1
+        assert migrate(1) == 0
+        assert migrate(0) == 0
+        assert self._cost(modexps, cloud, lambda: self._rotate(cloud)) == 0
+        assert cloud.tenants["dh"].host_index == 0
+        for host in cloud.hosts:
+            assert check_invariants(host) == []
