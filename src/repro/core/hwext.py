@@ -88,9 +88,16 @@ class CustomKeyEngine:
         return crypto.wrap_key(kek, self._key(gek_id))
 
     def import_wrapped(self, wrapped, kek):
+        """Unwrap a GEK into a new slot; a wrap that does not verify
+        under ``kek`` fails closed with ``BAD_WRAP``, as RECEIVE_START
+        does, and takes no slot."""
+        try:
+            gek = crypto.unwrap_key(kek, wrapped)
+        except ValueError as exc:
+            raise SevError("BAD_WRAP", str(exc))
         gek_id = self._next_id
         self._next_id += 1
-        self._geks[gek_id] = crypto.unwrap_key(kek, wrapped)
+        self._geks[gek_id] = gek
         return gek_id
 
 
@@ -158,14 +165,16 @@ def boot_portable_guest(fidelius, name, image, wrapped_gek, owner_public,
         raise ReproError("guest smaller than its kernel image")
     hypervisor = fidelius.hypervisor
     firmware = fidelius.firmware
-    # an invalid owner value fails here, before there is a domain to leak
+    # an invalid owner value or a GEK wrapped for another platform fails
+    # here, before there is a domain to leak
     master = firmware._dh.shared_secret(owner_public, owner_nonce)
     kek = crypto.derive_key(master, "gek-kek")
-    domain = hypervisor.create_domain(name, guest_frames, sev=True)
-
     engine = CustomKeyEngine(firmware)
     with fidelius.gates.firmware_gate():
         gek_id = engine.import_wrapped(wrapped_gek, kek)
+    domain = hypervisor.create_domain(name, guest_frames, sev=True)
+
+    with fidelius.gates.firmware_gate():
         handle = firmware.launch_start(policy=image.policy)
         digest = hashlib.sha256()
         for index, ciphertext in image.records:

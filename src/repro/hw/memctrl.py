@@ -30,15 +30,17 @@ re-ACTIVATEd ASID can neither be served stale keystream nor leave a
 retired key's stream lingering in host memory.  The *plaintext* line
 cache below is architectural and deliberately leaky (see above).
 
-The read/write fast paths (single-line short-circuit, skipped
-write-allocate on a full-line overwrite) change only wall-clock cost:
-cycle charges and all functional outputs are bit-identical to
-:class:`ReferenceMemoryController`, the kept-simple twin that the
-differential suite drives in lockstep with this class.
+The read/write fast paths (single-line short-circuit, the multi-line
+read's walk over resident lines only, skipped write-allocate on a
+full-line overwrite) change only wall-clock cost: cycle charges, all
+functional outputs and the plaintext cache's LRU order are
+bit-identical to :class:`ReferenceMemoryController`, the kept-simple
+twin that the differential suite drives in lockstep with this class.
 """
 
 import hashlib
 from collections import OrderedDict
+from itertools import compress
 from hashlib import sha256 as _sha256
 
 from repro.common import crypto
@@ -209,118 +211,118 @@ class MemoryController:
             if length == CACHE_LINE:
                 return plain_line
             return plain_line[off:off + length]
-        # Multi-line: walk the lines in access order — no piece list is
-        # materialized — batching every run of consecutive *missing*
-        # lines into one wide decrypt (one span-keystream lookup, one
-        # XOR, one charge_many) instead of a per-line Python loop.  One
-        # raw span read covers every missing line (DRAM sits below the
-        # timing model).
-        first_line = line_pa
-        end = pa + length
-        last_line = ((end - 1) >> CACHE_LINE_SHIFT) << CACHE_LINE_SHIFT
-        span_len = last_line + CACHE_LINE - first_line
-        raw_span = None
-        out_parts = []
+        return self._read_lines(key, pa, length)
+
+    def _read_lines(self, key, pa, length):
+        """The multi-line encrypted read: the same hits, misses, runs,
+        charges and final LRU order as the per-line reference loop.
+
+        Only lines resident when the read starts can hit, so the walk
+        visits just those and treats the gaps between them as misses.
+        A resident line that an earlier run of this read has already
+        evicted extends the pending run of misses; one still resident
+        when the walk reaches it closes the run: the run is decrypted
+        in one wide XOR, its evictions are applied, and the line is
+        checked again, exactly where the per-line loop would find it
+        gone.  A hit moves its line from the old entries onto this
+        read's tail; see :meth:`_owe_evictions` for the misses.  At the
+        end only the tail's surviving lines are inserted, in access
+        order.  The ledger is order-free sums, so each reason is
+        charged once for the read.
+        """
         cache = self._cache
-        charge = self.cycles.charge
-        run_start = 0
-        run_n = 0
-        line_pa = first_line
-        while line_pa <= last_line:
-            cached = cache.get(line_pa)
-            if cached is None:
-                if not run_n:
-                    run_start = line_pa
-                run_n += 1
-                line_pa += CACHE_LINE
-                continue
-            if run_n:
-                # The pending misses come first in access order; their
-                # fills may evict this very line, so re-check after.
-                if raw_span is None:
-                    raw_span = self.memory.read(first_line, span_len)
-                self._fill_missing_run(key, run_start, run_n, raw_span,
-                                       first_line, pa, end, out_parts)
-                run_n = 0
-                cached = cache.get(line_pa)
-                if cached is None:
-                    run_start = line_pa
-                    run_n = 1
-                    line_pa += CACHE_LINE
-                    continue
-            cache.move_to_end(line_pa)
-            charge(L1_HIT_CYCLES, "mem-read-cached")
-            lo = pa - line_pa if pa > line_pa else 0
-            hi = end - line_pa if end - line_pa < CACHE_LINE else CACHE_LINE
-            out_parts.append(cached[lo:hi])
-            line_pa += CACHE_LINE
-        if run_n:
-            if raw_span is None:
-                raw_span = self.memory.read(first_line, span_len)
-            self._fill_missing_run(key, run_start, run_n, raw_span,
-                                   first_line, pa, end, out_parts)
+        first_line = (pa >> CACHE_LINE_SHIFT) << CACHE_LINE_SHIFT
+        end = pa + length
+        span_end = (((end - 1) >> CACHE_LINE_SHIFT) + 1) << CACHE_LINE_SHIFT
+        if pa < 0 or span_end > self.memory.size:
+            raise PhysicalMemoryError(
+                "read [%#x, %#x) outside physical memory"
+                % (first_line, span_end))
+        lines = range(first_line, span_end, CACHE_LINE)
+        if len(lines) <= len(cache):
+            resident = list(compress(lines, map(cache.__contains__, lines)))
+        else:
+            resident = sorted(filter(lines.__contains__, cache))
+        resident.append(span_end)    # a sentinel: it closes the last run
+        out_parts = []
+        tail = []        # (first line, plaintext) of this read, in order
+        tail_lines = 0
+        live = 0         # the tail's lines the LRU still holds
+        hits = 0
+        run_start = first_line       # the pending misses: [run_start, walk)
+        for line_pa in resident:
+            if line_pa != span_end and line_pa not in cache:
+                continue             # evicted by an earlier run
+            if line_pa != run_start:
+                plain = self._decrypt_run(key, run_start, line_pa)
+                out_parts.append(plain[pa - run_start if pa > run_start
+                                       else 0:end - run_start])
+                tail.append((run_start, plain))
+                missed = (line_pa - run_start) >> CACHE_LINE_SHIFT
+                tail_lines += missed
+                live = self._owe_evictions(live + missed)
+                run_start = line_pa
+                if line_pa != span_end and line_pa not in cache:
+                    continue         # evicted by the run just closed
+            if line_pa == span_end:
+                break
+            cached = cache.pop(line_pa)
+            tail.append((line_pa, cached))
+            tail_lines += 1
+            live += 1
+            hits += 1
+            out_parts.append(
+                cached[pa - line_pa if pa > line_pa else 0:end - line_pa])
+            run_start = line_pa + CACHE_LINE
+        skip = (tail_lines - live) << CACHE_LINE_SHIFT
+        for start, plain in tail:
+            width = len(plain)
+            if skip >= width:
+                skip -= width
+            elif width == CACHE_LINE:
+                cache[start] = plain
+            else:
+                cache.update(zip(
+                    range(start + skip, start + width, CACHE_LINE),
+                    map(plain.__getitem__,
+                        map(slice, range(skip, width, CACHE_LINE),
+                            range(skip + CACHE_LINE, width + CACHE_LINE,
+                                  CACHE_LINE)))))
+                skip = 0
+        charge_many = self.cycles.charge_many
+        charge_many(_ENC_LINE_CYCLES, "mem-read-enc", tail_lines - hits)
+        charge_many(L1_HIT_CYCLES, "mem-read-cached", hits)
         return b"".join(out_parts)
 
-    def _fill_missing_run(self, key, start, n, raw_span, first_line,
-                          pa, end, out_parts):
-        """Decrypt, cache and emit a run of ``n`` consecutive missing
-        lines starting at line ``start``; the run's contribution to the
-        read of ``[pa, end)`` is appended to ``out_parts`` as one slice.
+    def _owe_evictions(self, live):
+        """Evict the LRU's overflow after a run of misses joined a
+        read's tail, of which ``live`` lines are still held; returns how
+        many still are.
 
-        Cycle/state equivalence with the reference per-line loop:
-
-        * :meth:`CycleCounter.charge_many` is defined to equal ``n``
-          individual charges (the ledger is order-free sums);
-        * the span keystream equals the per-line keystreams concatenated
-          (see :func:`crypto.span_keystream_int`), so the one wide XOR
-          yields exactly the per-line plaintexts;
-        * evictions are deferred to the end of the run: inserts append
-          at the LRU tail and never disturb the head, so popping the
-          overflow afterwards removes the same victims, in the same
-          order, as popping one per insert.  A run at least as long as
-          the whole cache evicts *everything* that preceded it, so the
-          surviving state is exactly the run's last ``capacity`` lines —
-          built directly instead of insert-then-pop (evictions carry no
-          charge or counter, so the shortcut is unobservable).
+        The LRU order during a read is the untouched old entries, then
+        the read's tail.  The overflow comes off the head: old entries
+        first, then the tail's oldest lines, which are only counted.
         """
-        self.cycles.charge_many(_ENC_LINE_CYCLES, "mem-read-enc", n)
-        rel = start - first_line
         cache = self._cache
-        cap = self._cache_lines
-        if n == 1:
-            plain_run = crypto.xex_line_decrypt(
-                key, start, raw_span[rel:rel + CACHE_LINE])
-            cache[start] = plain_run
-            width = CACHE_LINE
-        else:
-            width = n << CACHE_LINE_SHIFT
-            word = int.from_bytes(raw_span[rel:rel + width], "little") \
-                ^ crypto.span_keystream_int(key, start, n)
-            plain_run = word.to_bytes(width, "little")
-            if n >= cap:
-                cache.clear()
-                pos = width - (cap << CACHE_LINE_SHIFT)
-                line_pa = start + pos
-                while pos < width:
-                    cache[line_pa] = plain_run[pos:pos + CACHE_LINE]
-                    pos += CACHE_LINE
-                    line_pa += CACHE_LINE
-            else:
-                pos = 0
-                line_pa = start
-                for _ in range(n):
-                    cache[line_pa] = plain_run[pos:pos + CACHE_LINE]
-                    pos += CACHE_LINE
-                    line_pa += CACHE_LINE
-        lo = pa - start if pa > start else 0
-        run_end = start + width
-        hi = width - (run_end - end) if end < run_end else width
-        out_parts.append(plain_run if not lo and hi == width
-                         else plain_run[lo:hi])
-        over = len(cache) - cap
-        while over > 0:
-            cache.popitem(last=False)
-            over -= 1
+        held = len(cache)
+        over = held + live - self._cache_lines
+        if over < held:
+            for _ in range(over):
+                cache.popitem(last=False)
+            return live
+        cache.clear()
+        return live - (over - held)
+
+    def _decrypt_run(self, key, start, stop):
+        """Plaintext of the lines ``[start, stop)``: one raw read, one
+        keystream request, one wide XOR."""
+        width = stop - start
+        raw = self.memory.read(start, width)
+        if width == CACHE_LINE:
+            return crypto.xex_line_decrypt(key, start, raw)
+        word = int.from_bytes(raw, "little") ^ crypto.span_keystream_int(
+            key, start, width >> CACHE_LINE_SHIFT)
+        return word.to_bytes(width, "little")
 
     def _fill_line(self, key, line_pa):
         """Miss path: fetch, decrypt (wide XOR) and cache one line."""

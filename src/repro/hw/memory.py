@@ -47,15 +47,16 @@ class PhysicalMemory:
             if frame is None:
                 frame = self._frame(pa >> PAGE_SHIFT)
             return bytes(frame[off:off + length])
-        out = bytearray()
-        while length:
-            frame = self._frame(pfn_of(pa))
-            off = page_offset(pa)
-            take = min(length, PAGE_SIZE - off)
-            out.extend(frame[off:off + take])
+        # Across frames: one copy, out of views of each frame's part.
+        parts = []
+        end = pa + length
+        while pa < end:
+            frame = self._frame(pa >> PAGE_SHIFT)
+            off = pa & (PAGE_SIZE - 1)
+            take = min(end - pa, PAGE_SIZE - off)
+            parts.append(memoryview(frame)[off:off + take])
             pa += take
-            length -= take
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, pa, data):
         """Raw write of ``data`` at physical address ``pa``."""

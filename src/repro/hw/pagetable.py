@@ -1,12 +1,14 @@
 """Four-level page tables and the hardware walker.
 
-Used in three places, with different word-access callbacks:
+Every walker reads raw physical memory, which is what lets it read a
+run of leaf entries, or a whole table page, in one access.  It walks:
 
-* the host address space (Xen + Fidelius): raw physical reads, because
-  host page tables are not encrypted in our configurations;
-* the guest's own page tables (GVA -> GPA): accesses composed by the
-  domain layer through the NPT and the guest's memory-encryption key;
-* the nested page tables (GPA -> HPA): raw physical reads.
+* the host address space (Xen + Fidelius), whose tables are not
+  encrypted in our configurations;
+* the nested page tables (GPA -> HPA) and the IOMMU's device tables.
+
+The guest's own page tables (GVA -> GPA) live in encrypted guest memory
+and are walked by :mod:`repro.xen.guest_paging`, not here.
 
 The walker itself is pure hardware: it enforces PRESENT / WRITABLE /
 USER / NX plus the ``CR0.WP`` and ``CR4.SMEP`` semantics, and reports
@@ -15,7 +17,9 @@ act on who may *write* the page-table-pages, which is exactly the
 paper's non-bypassable isolation design.
 """
 
+import struct
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.common.constants import (
     ENTRIES_PER_TABLE,
@@ -33,6 +37,16 @@ from repro.common.constants import (
 )
 from repro.common.errors import PageFault
 from repro.common.types import Access, frame_addr
+
+#: one table page decoded as little-endian entries (the DRAM byte order
+#: of ``read_u64``, whatever the host's)
+_TABLE = struct.Struct("<%dQ" % ENTRIES_PER_TABLE)
+
+#: the leaf bits a permission check reads
+_CHECKED_BITS = PTE_PRESENT | PTE_WRITABLE | PTE_USER | PTE_NX
+
+#: virtual-address bits below one leaf table's region
+_LEAF_REGION_SHIFT = PAGE_SHIFT + 9
 
 
 def _index(va, level):
@@ -61,35 +75,83 @@ class Translation:
 class PageTableWalker:
     """Walks and edits page tables rooted at a given frame."""
 
-    def __init__(self, memory, alloc_frame=None, read_word=None, write_word=None):
+    def __init__(self, memory, alloc_frame=None, write_word=None):
         self._memory = memory
         self._alloc_frame = alloc_frame
-        self._read_word = read_word or memory.read_u64
+        self._read_u64 = memory.read_u64
         self._write_word = write_word or memory.write_u64
 
     # -- translation ---------------------------------------------------------
 
     def translate(self, root_pfn, va, access=Access.read(),
                   wp=True, smep=False, nxe=True):
-        """Translate ``va``; raises :class:`PageFault` like the hardware.
+        """Translate ``va``; raises :class:`PageFault` like the hardware."""
+        table_pfn, flags_and, nx_or = self._upper(root_pfn, va, access)
+        entry = self._read_u64(
+            (table_pfn << PAGE_SHIFT)
+            + ((va >> PAGE_SHIFT) & (ENTRIES_PER_TABLE - 1)) * PTE_SIZE)
+        writable, user, nx = self._check_leaf(va, entry, flags_and, nx_or,
+                                              access, wp, smep, nxe)
+        return Translation((entry & PTE_PFN_MASK) | (va & (PAGE_SIZE - 1)),
+                           writable, user, nx, bool(entry & PTE_C_BIT))
 
-        The walk is the slot-path fast loop of the simulator: the word
-        reader is bound once, the per-level slot address is computed
-        with shifts only, and the permission bits are folded as ints —
-        the semantics are exactly the general loop it replaced.
+    def leaf_run(self, root_pfn, va, pages, access=Access.read(),
+                 wp=True, smep=False, nxe=True, leaves=None):
+        """The leaf entries of ``va``'s page and of up to ``pages - 1``
+        pages after it in the same leaf table, read in one access.
+
+        The run stops before the first page :meth:`translate` would
+        fault on; on ``va``'s own page it raises exactly what
+        :meth:`translate` raises.  An entry's page address is
+        ``entry & PTE_PFN_MASK`` and its C-bit ``entry & PTE_C_BIT``.
+
+        ``leaves``, when given, is a dict the caller keeps across calls
+        so that each leaf table is located once; the caller must drop it
+        whenever the tables may have changed.
         """
+        region = va >> _LEAF_REGION_SHIFT
+        leaf = None if leaves is None else leaves.get(region)
+        if leaf is None:
+            leaf = self._upper(root_pfn, va, access)
+            if leaves is not None:
+                leaves[region] = leaf
+        table_pfn, flags_and, nx_or = leaf
+        first = (va >> PAGE_SHIFT) & (ENTRIES_PER_TABLE - 1)
+        count = min(pages, ENTRIES_PER_TABLE - first)
+        entries = struct.unpack("<%dQ" % count, self._memory.read(
+            (table_pfn << PAGE_SHIFT) + first * PTE_SIZE, count * PTE_SIZE))
+        self._check_leaf(va, entries[0], flags_and, nx_or, access, wp, smep,
+                         nxe)
+        # Pages whose checked bits equal an admitted page's pass the
+        # same check; only a change of bits needs the check again.
+        checked = entries[0] & _CHECKED_BITS
+        page_va = va - (va & (PAGE_SIZE - 1))
+        for i in range(1, count):
+            bits = entries[i] & _CHECKED_BITS
+            if bits != checked:
+                try:
+                    self._check_leaf(page_va + i * PAGE_SIZE, entries[i],
+                                     flags_and, nx_or, access, wp, smep, nxe)
+                except PageFault:
+                    return entries[:i]
+                checked = bits
+        return entries
+
+    def _upper(self, root_pfn, va, access):
+        """Walk the levels above the leaf: ``(leaf table pfn, WRITABLE and
+        USER folded over them, NX folded over them)``."""
         if not 0 <= va < (1 << VA_BITS):
             raise PageFault(va, access.write, access.execute, access.user,
                             message="non-canonical virtual address %#x" % va)
-        read_word = self._read_word
+        read_u64 = self._read_u64
         table_pfn = root_pfn
-        flags_and = PTE_WRITABLE | PTE_USER   # folded WRITABLE/USER bits
-        nx_or = 0                             # folded NX bit
-        entry = 0
+        flags_and = PTE_WRITABLE | PTE_USER
+        nx_or = 0
         shift = PAGE_SHIFT + 9 * (PT_LEVELS - 1)
-        for _ in range(PT_LEVELS):
-            slot = (va >> shift) & (ENTRIES_PER_TABLE - 1)
-            entry = read_word((table_pfn << PAGE_SHIFT) + slot * PTE_SIZE)
+        while shift > PAGE_SHIFT:
+            entry = read_u64((table_pfn << PAGE_SHIFT)
+                             + ((va >> shift) & (ENTRIES_PER_TABLE - 1))
+                             * PTE_SIZE)
             if not entry & PTE_PRESENT:
                 raise PageFault(va, access.write, access.execute, access.user,
                                 present=False)
@@ -97,13 +159,21 @@ class PageTableWalker:
             nx_or |= entry & PTE_NX
             table_pfn = (entry & PTE_PFN_MASK) >> PAGE_SHIFT
             shift -= 9
+        return table_pfn, flags_and, nx_or
+
+    def _check_leaf(self, va, entry, flags_and, nx_or, access, wp, smep,
+                    nxe):
+        """Finish the walk of ``va`` at its leaf ``entry``: raise the
+        hardware's fault, or return ``(writable, user, nx)``."""
+        if not entry & PTE_PRESENT:
+            raise PageFault(va, access.write, access.execute, access.user,
+                            present=False)
+        flags_and &= entry
         writable = bool(flags_and & PTE_WRITABLE)
         user = bool(flags_and & PTE_USER)
-        nx = bool(nx_or)
-        c_bit = bool(entry & PTE_C_BIT)
+        nx = bool((nx_or | entry) & PTE_NX)
         self._check_permissions(va, access, writable, user, nx, wp, smep, nxe)
-        pa = (table_pfn << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
-        return Translation(pa, writable, user, nx, c_bit)
+        return writable, user, nx
 
     @staticmethod
     def _check_permissions(va, access, writable, user, nx, wp, smep, nxe):
@@ -135,7 +205,7 @@ class PageTableWalker:
         table_pfn = root_pfn
         for level in range(PT_LEVELS, 1, -1):
             entry_pa = frame_addr(table_pfn) + _index(va, level) * PTE_SIZE
-            entry = self._read_word(entry_pa)
+            entry = self._read_u64(entry_pa)
             if not entry & PTE_PRESENT:
                 if self._alloc_frame is None:
                     raise PageFault(va, message="no allocator to grow tables")
@@ -154,7 +224,7 @@ class PageTableWalker:
 
     def unmap(self, root_pfn, va):
         leaf_pa = self.entry_pa(root_pfn, va)
-        entry = self._read_word(leaf_pa)
+        entry = self._read_u64(leaf_pa)
         self._write_word(leaf_pa, 0)
         return entry
 
@@ -168,7 +238,7 @@ class PageTableWalker:
         table_pfn = root_pfn
         for cur in range(PT_LEVELS, level, -1):
             entry_pa = frame_addr(table_pfn) + _index(va, cur) * PTE_SIZE
-            entry = self._read_word(entry_pa)
+            entry = self._read_u64(entry_pa)
             if not entry & PTE_PRESENT:
                 raise PageFault(va, present=False,
                                 message="no level-%d table for %#x" % (cur - 1, va))
@@ -176,7 +246,7 @@ class PageTableWalker:
         return frame_addr(table_pfn) + _index(va, level) * PTE_SIZE
 
     def read_entry(self, root_pfn, va, level=1):
-        return self._read_word(self.entry_pa(root_pfn, va, level))
+        return self._read_u64(self.entry_pa(root_pfn, va, level))
 
     def write_entry(self, root_pfn, va, value, level=1):
         """Raw (hardware/boot-time) entry write — not subject to WP."""
@@ -184,12 +254,18 @@ class PageTableWalker:
 
     def set_flags(self, root_pfn, va, set_mask=0, clear_mask=0):
         leaf_pa = self.entry_pa(root_pfn, va)
-        entry = self._read_word(leaf_pa)
+        entry = self._read_u64(leaf_pa)
         if not entry & PTE_PRESENT:
             raise PageFault(va, present=False)
         self._write_word(leaf_pa, (entry | set_mask) & ~clear_mask)
 
     # -- enumeration ------------------------------------------------------------
+
+    def _present(self, table_pfn):
+        """``(index, entry)`` of every present entry of one table page,
+        from one read of the page."""
+        entries = _TABLE.unpack(self._memory.read_frame(table_pfn))
+        return compress(enumerate(entries), map(PTE_PRESENT.__and__, entries))
 
     def table_pages(self, root_pfn):
         """All page-table-page PFNs reachable from ``root_pfn``, with levels.
@@ -203,10 +279,7 @@ class PageTableWalker:
     def _table_pages_below(self, table_pfn, level):
         if level == 1:
             return
-        for i in range(ENTRIES_PER_TABLE):
-            entry = self._read_word(frame_addr(table_pfn) + i * PTE_SIZE)
-            if not entry & PTE_PRESENT:
-                continue
+        for _, entry in self._present(table_pfn):
             child = entry_pfn(entry)
             yield level - 1, child
             yield from self._table_pages_below(child, level - 1)
@@ -217,10 +290,7 @@ class PageTableWalker:
 
     def _leaves(self, table_pfn, level, va_prefix):
         shift = PAGE_SHIFT + 9 * (level - 1)
-        for i in range(ENTRIES_PER_TABLE):
-            entry = self._read_word(frame_addr(table_pfn) + i * PTE_SIZE)
-            if not entry & PTE_PRESENT:
-                continue
+        for i, entry in self._present(table_pfn):
             va = va_prefix | (i << shift)
             if level == 1:
                 yield va, entry

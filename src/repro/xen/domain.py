@@ -10,7 +10,14 @@ on first use, so test and example code reads naturally.
 
 from dataclasses import dataclass
 
-from repro.common.constants import HOST_ASID, PAGE_SIZE
+from repro.common.constants import (
+    HOST_ASID,
+    PAGE_MASK,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PTE_C_BIT,
+    PTE_PFN_MASK,
+)
 from repro.common.errors import NestedPageFault, XenError
 from repro.common.types import CpuMode, ExitReason
 from repro.hw.vmcb import Vmcb
@@ -209,33 +216,46 @@ class GuestContext:
             gpa += take
             view = view[take:]
 
-    def _pieces(self, gpa, length, write):
+    def _translate_run(self, gpa, pages, write, leaves):
+        """:meth:`NestedPageTable.translate_run` with NPF exits handled
+        inline, one page at a time as in :meth:`_translate`.  A trap
+        empties the batch's leaf-table memo ``leaves``: the host may
+        rewrite the NPT while it handles the fault."""
+        for _ in range(3):
+            try:
+                return self._domain.npt.translate_run(gpa, pages, write,
+                                                      leaves)
+            except NestedPageFault:
+                leaves.clear()
+                self._trap(ExitReason.NPF, info1=int(write), info2=gpa)
+        raise XenError("NPT violation at gpa=%#x not resolved by host" % gpa)
+
+    def _pieces(self, gpa, length, write, leaves):
         """Translate a GPA range into memory-controller pieces.
 
-        Walks the range page by page (translation granularity), resolves
-        the effective encryption of each page, and coalesces physically
+        Translates the range one leaf-table run at a time, resolves the
+        effective encryption of each page, and coalesces physically
         contiguous pieces that share one ``(c_bit, asid)`` so a span of
         contiguously mapped guest pages reaches the memory controller as
         a single wide access.
         """
         pieces = []
-        while length:
-            take = min(length, PAGE_SIZE - (gpa & (PAGE_SIZE - 1)))
-            translation = self._translate(gpa, write=write)
-            c_bit, asid = self._effective_encryption(
-                gpa >> 12, translation.c_bit)
-            pa = translation.pa
-            if pieces:
-                last_pa, last_len, last_c, last_asid = pieces[-1]
-                if (last_pa + last_len == pa and last_c == c_bit
-                        and last_asid == asid):
-                    pieces[-1] = (last_pa, last_len + take, c_bit, asid)
-                    gpa += take
-                    length -= take
-                    continue
-            pieces.append((pa, take, c_bit, asid))
-            gpa += take
-            length -= take
+        end = gpa + length
+        while gpa < end:
+            pages = ((end - 1) >> PAGE_SHIFT) - (gpa >> PAGE_SHIFT) + 1
+            for entry in self._translate_run(gpa, pages, write, leaves):
+                take = min(end, (gpa | PAGE_MASK) + 1) - gpa
+                c_bit, asid = self._effective_encryption(
+                    gpa >> PAGE_SHIFT, entry & PTE_C_BIT)
+                pa = (entry & PTE_PFN_MASK) | (gpa & PAGE_MASK)
+                gpa += take
+                if pieces:
+                    last_pa, last_len, last_c, last_asid = pieces[-1]
+                    if (last_pa + last_len == pa and last_c == c_bit
+                            and last_asid == asid):
+                        pieces[-1] = (last_pa, last_len + take, c_bit, asid)
+                        continue
+                pieces.append((pa, take, c_bit, asid))
         return pieces
 
     def batch(self, ops):
@@ -248,11 +268,13 @@ class GuestContext:
             ("h", gpa, length)   -> sha256 digest of the range
 
         Returns a list of results aligned with ``ops``.  Each operation
-        is translated page by page and handed to
+        is translated one leaf-table run at a time, and the whole list
+        is handed to
         :meth:`repro.hw.memctrl.MemoryController.run_batch` as one
         batched call, so a guest program that phrases a round as a few
         ``batch`` calls pays two Python calls per span instead of two
-        per page.
+        per page.  Each leaf table is located once per call, for all
+        its operations, until an NPF trap.
 
         Equivalence with the per-access path (:meth:`read`/
         :meth:`write` in the same operation order) is exact — same
@@ -267,15 +289,16 @@ class GuestContext:
         """
         self._ensure_guest()
         pieces_of = self._pieces
+        leaves = {}
         mc_ops = []
         for op in ops:
             kind = op[0]
             if kind == "r" or kind == "h":
-                mc_ops.append((kind, pieces_of(op[1], op[2], False)))
+                mc_ops.append((kind, pieces_of(op[1], op[2], False, leaves)))
             elif kind == "w":
                 data = op[2]
-                mc_ops.append((kind, pieces_of(op[1], len(data), True),
-                               data))
+                mc_ops.append((kind, pieces_of(op[1], len(data), True,
+                                               leaves), data))
             else:
                 raise XenError("unknown guest batch op kind %r" % (kind,))
         return self._machine.memctrl.run_batch(mc_ops)

@@ -27,6 +27,9 @@ from repro.common.errors import NestedPageFault, PageFault
 from repro.common.types import Access
 from repro.hw.pagetable import PageTableWalker, entry_pfn
 
+#: the two accesses a nested walk checks (``Access`` is immutable)
+_ACCESS = {False: Access.read(), True: Access.store()}
+
 
 class NestedPageTable:
     """One guest's nested page table."""
@@ -46,11 +49,23 @@ class NestedPageTable:
         """Hardware second-level walk; raises :class:`NestedPageFault`."""
         try:
             translation = self._walker.translate(
-                self.root_pfn, gpa, Access(write=write), wp=True,
+                self.root_pfn, gpa, _ACCESS[write], wp=True,
             )
         except PageFault as fault:
             raise NestedPageFault(gpa, write=write, message=str(fault))
         return translation
+
+    def translate_run(self, gpa, pages, write=False, leaves=None):
+        """The leaf entries of a run of up to ``pages`` pages from
+        ``gpa``'s (:meth:`PageTableWalker.leaf_run`); raises
+        :class:`NestedPageFault` exactly where :meth:`translate` would
+        on ``gpa``'s own page."""
+        try:
+            return self._walker.leaf_run(
+                self.root_pfn, gpa, pages, _ACCESS[write], wp=True,
+                leaves=leaves)
+        except PageFault as fault:
+            raise NestedPageFault(gpa, write=write, message=str(fault))
 
     def maps(self, gpa):
         try:

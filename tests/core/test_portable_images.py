@@ -57,15 +57,21 @@ class TestPortableBoot:
             assert domain in system.fidelius.protected_domains
 
     def test_wrong_platform_wrap_fails(self, owner, portable):
+        """A GEK wrapped for another platform fails closed, before the
+        target host has built a domain for it."""
+        from repro.core.invariants import check_invariants
         image, gek = portable
         a = System.create(fidelius=True, frames=2048, seed=21)
         b = System.create(fidelius=True, frames=2048, seed=22)
         wrapped_for_a = wrap_gek_for_platform(
             owner, gek, a.firmware.platform_public_key)
-        with pytest.raises((SevError, ValueError)):
+        before = dict(b.hypervisor.domains)
+        with pytest.raises(SevError, match="key unwrap failed"):
             boot_portable_guest(b.fidelius, "x", image, wrapped_for_a,
                                 owner.dh.public, owner.nonce,
                                 guest_frames=32)
+        assert b.hypervisor.domains == before
+        assert check_invariants(b) == []
 
     def test_invalid_owner_public_creates_no_domain(self, owner, portable):
         from repro.core.invariants import check_invariants

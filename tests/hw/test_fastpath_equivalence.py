@@ -155,15 +155,63 @@ def test_whole_system_matches_on_the_reference_controller(fidelius,
     assert fast.memory.dump() == ref.memory.dump()
 
 
+def _cache_state(ctl):
+    """The plaintext cache as the LRU sees it: lines, bytes and order."""
+    return list(ctl._cache.items())
+
+
 def test_cache_state_tracks_reference():
-    """The plaintext caches evolve identically (same lines resident),
-    so every later hit/miss — and its charge — lines up."""
+    """The plaintext caches evolve identically (same lines, same bytes,
+    same LRU order), so every later hit/miss — and its charge — lines
+    up."""
     rng = random.Random(0xCAC4E)
     fast, ref = _pair(cache_lines=4)
     for op in _random_ops(rng, 600):
         _apply(fast, op)
         _apply(ref, op)
-        assert fast.cached_lines() == ref.cached_lines()
+        assert _cache_state(fast) == _cache_state(ref), op
+
+
+def _cache_spanning_ops(rng, count, cache_lines):
+    """Reads 2-8x as long as the cache, over a window small enough that
+    they keep meeting lines an earlier read or write left resident,
+    with encrypted, plain and DMA writes in between."""
+    window = 12 * cache_lines * CACHE_LINE
+    ops = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.5:
+            length = rng.randrange(2 * cache_lines * CACHE_LINE,
+                                   8 * cache_lines * CACHE_LINE + 1)
+            ops.append(("read", rng.randrange(0, window - length + 1),
+                        length, rng.choice(ASIDS)))
+            continue
+        size = rng.choice((1, 8, 64, 100, 3 * CACHE_LINE))
+        pa = rng.randrange(0, window - size + 1)
+        data = bytes(rng.getrandbits(8) for _ in range(size))
+        if roll < 0.85:
+            ops.append(("write", pa, data, rng.choice(ASIDS)))
+        elif roll < 0.95:
+            ops.append(("dma_write", pa, data))
+        else:
+            ops.append(("plain_write", pa, data))
+    return ops
+
+
+@pytest.mark.parametrize("cache_lines", [3, 8, 16])
+@pytest.mark.parametrize("seed", range(6))
+def test_cache_order_survives_reads_longer_than_the_cache(seed, cache_lines):
+    """A read longer than the cache evicts lines it met resident and
+    then its own first lines; the LRU order it leaves must still be the
+    per-line loop's, after every op."""
+    rng = random.Random(seed * 0x9E37 + cache_lines)
+    fast, ref = _pair(cache_lines=cache_lines)
+    for op in _cache_spanning_ops(rng, 150, cache_lines):
+        assert _apply(fast, op) == _apply(ref, op), op
+        assert _cache_state(fast) == _cache_state(ref), op
+    assert fast.memory.dump() == ref.memory.dump()
+    assert fast.cycles.by_reason == ref.cycles.by_reason
+    assert fast.cycles.events == ref.cycles.events
 
 
 # -- crypto primitive differentials ------------------------------------------
