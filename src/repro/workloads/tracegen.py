@@ -13,6 +13,9 @@ from collections import OrderedDict
 
 from repro.common.constants import CACHE_LINE_SHIFT
 
+#: Lines in the re-used working set; it fits the default 4,096-line cache.
+_HOT_LINES = 1024
+
 
 class CacheModel:
     """A set of LRU cache lines (the last level before DRAM).
@@ -23,6 +26,9 @@ class CacheModel:
     """
 
     def __init__(self, lines=4096):
+        if lines < 1:
+            raise ValueError("a cache needs at least one line, not %r"
+                             % (lines,))
         self.lines = lines
         self._order = OrderedDict()
         self.hits = 0
@@ -30,17 +36,28 @@ class CacheModel:
 
     def access(self, address):
         """True if the access misses to DRAM."""
-        line = address >> CACHE_LINE_SHIFT
+        return self.run((address,)) == 1
+
+    def run(self, addresses):
+        """Feed a sequence of addresses through the cache in order;
+        returns how many of them missed to DRAM."""
         order = self._order
-        if line in order:
-            order.move_to_end(line)
-            self.hits += 1
-            return False
-        self.misses += 1
-        if len(order) >= self.lines:
-            order.popitem(last=False)
-        order[line] = None
-        return True
+        touch = order.move_to_end
+        evict = order.popitem
+        capacity = self.lines
+        misses = 0
+        for address in addresses:
+            line = address >> CACHE_LINE_SHIFT
+            if line in order:
+                touch(line)
+            else:
+                misses += 1
+                if len(order) >= capacity:
+                    evict(last=False)
+                order[line] = None
+        self.hits += len(addresses) - misses
+        self.misses += misses
+        return misses
 
     @property
     def miss_ratio(self):
@@ -56,17 +73,32 @@ def generate_trace(profile, accesses, seed=0xACE5):
     that must go to DRAM.  The split is the profile's miss ratio, so the
     cache measurement converges on the characterized MPKI.
     """
+    if accesses < 0:
+        raise ValueError("a trace cannot have %r accesses" % (accesses,))
     rng = random.Random(seed)
+    draw = rng.random
+    bits = rng.getrandbits
+    # A hot line is drawn exactly as ``rng.randrange(_HOT_LINES)`` draws
+    # it, getrandbits(k) for the bound's bit length k until the value
+    # falls below the bound, so the stream and every figure row stay as
+    # they were.  The cost was randrange's two interpreted frames around
+    # that one native call, not the generator.
+    # tests/eval/test_workloads.py::TestTraceGeneration::
+    # test_property_matches_the_randrange_reference pins the draw.
+    k = _HOT_LINES.bit_length()
     miss_ratio = profile.miss_ratio
-    hot_lines = 1024
     streaming_cursor = 1 << 30  # far above the hot region
     trace = []
+    append = trace.append
     for _ in range(accesses):
-        if rng.random() < miss_ratio:
+        if draw() < miss_ratio:
             streaming_cursor += 1 << CACHE_LINE_SHIFT
-            trace.append(streaming_cursor)
+            append(streaming_cursor)
         else:
-            trace.append(rng.randrange(hot_lines) << CACHE_LINE_SHIFT)
+            line = bits(k)
+            while line >= _HOT_LINES:
+                line = bits(k)
+            append(line << CACHE_LINE_SHIFT)
     return trace
 
 
@@ -75,10 +107,5 @@ def simulate_misses(profile, accesses=60_000, seed=0xACE5, cache_lines=4096):
     cache = CacheModel(lines=cache_lines)
     # Warm the hot working set so compulsory misses don't distort the
     # steady-state miss ratio of low-MPKI benchmarks.
-    for line in range(1024):
-        cache.access(line << CACHE_LINE_SHIFT)
-    cache.hits = 0
-    cache.misses = 0
-    for address in generate_trace(profile, accesses, seed=seed):
-        cache.access(address)
-    return cache.misses, accesses
+    cache.run(range(0, _HOT_LINES << CACHE_LINE_SHIFT, 1 << CACHE_LINE_SHIFT))
+    return cache.run(generate_trace(profile, accesses, seed=seed)), accesses

@@ -1,6 +1,9 @@
 """Tests for the workload models: trace generation, cache behaviour,
 fio specs and the disk timing model."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +65,31 @@ class TestCacheModel:
             cache.access(0x0)
         assert cache.miss_ratio == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("lines", [0, -3])
+    def test_a_cache_without_lines_is_refused(self, lines):
+        with pytest.raises(ValueError):
+            CacheModel(lines=lines)
+        with pytest.raises(ValueError):
+            simulate_misses(profile_by_name("mcf"), 100, cache_lines=lines)
+
+
+def _randrange_trace(profile, accesses, seed):
+    """The trace as ``generate_trace`` first drew it, one
+    ``rng.randrange(1024)`` per hot line: the reference for the explicit
+    draw."""
+    rng = random.Random(seed)
+    miss_ratio = profile.miss_ratio
+    hot_lines = 1024
+    streaming_cursor = 1 << 30
+    trace = []
+    for _ in range(accesses):
+        if rng.random() < miss_ratio:
+            streaming_cursor += 1 << CACHE_LINE_SHIFT
+            trace.append(streaming_cursor)
+        else:
+            trace.append(rng.randrange(hot_lines) << CACHE_LINE_SHIFT)
+    return trace
+
 
 class TestTraceGeneration:
     @pytest.mark.parametrize("name", ["mcf", "canneal", "gcc"])
@@ -86,6 +114,31 @@ class TestTraceGeneration:
         profile = profile_by_name(name)
         misses, accesses = simulate_misses(profile, accesses=5_000)
         assert 0 <= misses <= accesses
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from([p.name for p in SPEC_PROFILES
+                                 + PARSEC_PROFILES]),
+           miss_ratio=st.one_of(st.sampled_from([0.0, 1.0]),
+                                st.floats(0.0, 1.0)),
+           seed=st.integers(),
+           accesses=st.integers(0, 3_000))
+    def test_property_matches_the_randrange_reference(self, name,
+                                                      miss_ratio, seed,
+                                                      accesses):
+        """The explicit getrandbits draw is the same stream as
+        ``randrange``, so every figure row is unchanged."""
+        base = profile_by_name(name)
+        profile = dataclasses.replace(base,
+                                      mpki_dram=miss_ratio * base.mem_pki)
+        assert generate_trace(profile, accesses, seed=seed) == \
+            _randrange_trace(profile, accesses, seed)
+
+    def test_a_negative_access_count_is_refused(self):
+        profile = profile_by_name("mcf")
+        with pytest.raises(ValueError):
+            generate_trace(profile, -5)
+        with pytest.raises(ValueError):
+            simulate_misses(profile, -5)
 
 
 class TestLruOracle:

@@ -100,18 +100,31 @@ class CacheAgainstLruModel(RuleBasedStateMachine):
         super().__init__()
         self.cache = CacheModel(lines=self.CAPACITY)
         self.lru = []  # most recent last
+        self.accesses = 0
+        self.misses = 0
+
+    def _touch(self, line):
+        """The textbook LRU step; True on a miss."""
+        missed = line not in self.lru
+        if not missed:
+            self.lru.remove(line)
+        self.lru.append(line)
+        if len(self.lru) > self.CAPACITY:
+            self.lru.pop(0)
+        self.accesses += 1
+        self.misses += missed
+        return missed
 
     @rule(line=st.integers(0, 30))
     def access(self, line):
         address = line << 6
         missed = self.cache.access(address)
-        expected_miss = line not in self.lru
-        assert missed == expected_miss
-        if line in self.lru:
-            self.lru.remove(line)
-        self.lru.append(line)
-        if len(self.lru) > self.CAPACITY:
-            self.lru.pop(0)
+        assert missed == self._touch(line)
+
+    @rule(lines=st.lists(st.integers(0, 30), max_size=24))
+    def run_lines(self, lines):
+        missed = self.cache.run([line << 6 for line in lines])
+        assert missed == sum(self._touch(line) for line in lines)
 
     @invariant()
     def occupancy_bounded(self):
@@ -120,6 +133,11 @@ class CacheAgainstLruModel(RuleBasedStateMachine):
     @invariant()
     def recency_order_matches(self):
         assert list(self.cache._order) == self.lru
+
+    @invariant()
+    def counters_match(self):
+        assert self.cache.misses == self.misses
+        assert self.cache.hits == self.accesses - self.misses
 
 
 class MemctrlReadYourWrites(RuleBasedStateMachine):
