@@ -73,8 +73,9 @@ class ControlPlane:
 
     def _check_index(self, index):
         """Refuse a host index outside ``[0, len(self))`` with a clean
-        FleetError (a negative one would alias a host from the end)."""
-        if not isinstance(index, int) or \
+        FleetError (a negative one would alias a host from the end, and
+        ``True``/``False`` would pass as hosts 1 and 0)."""
+        if not isinstance(index, int) or isinstance(index, bool) or \
                 not 0 <= index < len(self.host_records):
             raise FleetError("no host %r in a %d-host fleet"
                              % (index, len(self.host_records)))

@@ -63,7 +63,9 @@ class EventQueue:
 
     ``schedule`` returns the event's sequence number — the handle
     ``cancel`` takes.  Cancellation is lazy (a tombstone set consulted
-    at pop time), so it is O(1) and does not disturb the heap.  ``pop``
+    at pop time), so it does not disturb the heap, but ``cancel`` first
+    scans the whole heap for its handle: O(n) per call, which no
+    scenario pays because none cancels a timer.  ``pop``
     advances :attr:`now` to the popped event's time; time never runs
     backwards and scheduling into the past is refused.
     """

@@ -26,7 +26,7 @@ from repro.runner.executor import (
     ShardResult,
     execute,
 )
-from repro.runner.merge import canonical, deterministic_digest, digest
+from repro.runner.merge import deterministic_digest, digest
 from repro.runner.plan import WorkUnit
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "RunReport",
     "ShardResult",
     "WorkUnit",
-    "canonical",
     "deterministic_digest",
     "digest",
     "execute",

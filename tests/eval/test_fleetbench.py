@@ -40,7 +40,14 @@ class TestReportSchema:
         assert fleet["hosts"] >= spec["hosts"]     # autoscale adds some
         assert fleet["events"] > spec["guests"]
         assert fleet["metrics"]["busy_cycles"] == 83_036_119
-        assert fleet["digest"]
+        assert fleet["digest"] == \
+            "70bb44abb6f5a9dbee488c125549513bec8d77d5a98f0ea4112a055679271f20"
+        assert [region["digest"] for region in report["regions"]] == [
+            "3a023c1eaf54de369f4133b5f941b9c5d69ab5148922f37d3249b83e271a8803",
+            "7ebc22ad579b7a5ca30e1bbdba1ac895f3f75855337985300a89ba14cb1008ff",
+            "f33c6d63d1a00c3d3e32a58304011d0546b4322cf2e5733327372d25f0b6f13f",
+            "b925775ae37b54775e1635b054df6ec85d0c0abde7d64a86035d19b86f3f2874",
+        ]
         assert len(report["regions"]) == spec["regions"]
         assert report["lockstep"]["ok"] is True, report["lockstep"]
         sharding = report["sharding"]

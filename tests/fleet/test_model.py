@@ -172,8 +172,9 @@ class TestHostIndexValidation:
                      model.fail_host, model.recover_host,
                      model.retire_host, model.rotate_host_keys,
                      model.hydrate):
-            with pytest.raises(FleetError, match="no host -1"):
-                call(-1)
+            for bad in (-1, True, False):
+                with pytest.raises(FleetError, match="no host %r" % bad):
+                    call(bad)
         assert model.snapshot_state()["quarantined"] == []
         homes = [model.launch("g%d" % i, frames=4).host for i in range(4)]
         assert homes == [0, 1, 2, 0]

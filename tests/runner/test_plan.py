@@ -6,8 +6,10 @@ from dataclasses import dataclass
 import pytest
 
 from repro.common.errors import ReproError
-from repro.runner import WorkUnit, canonical, digest, execute
+from repro.runner import WorkUnit, digest, execute
 from repro.runner.merge import deterministic_digest, strip_timing
+
+from .reference_merge import canonical
 
 
 def _noop(value):
@@ -45,10 +47,17 @@ class _Point:
     payload: bytes
 
 
+@dataclass(frozen=True)
+class _Renamed:
+    x: int
+    payload: bytes
+
+
 class TestDigest:
     def test_digest_is_stable_across_calls(self):
         value = [_Point(1, b"\x00\xff"), {"b": 2, "a": (1, 2)}, {3, 1}]
-        assert digest(value) == digest(value)
+        assert digest(value) == digest(value) == \
+            "783e24036573ebf2eb8f03bee46ff31bbd819306d2fa91d92f33f6d0a4271f36"
 
     def test_dict_order_does_not_matter(self):
         assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
@@ -58,6 +67,7 @@ class TestDigest:
 
     def test_dataclass_name_participates(self):
         assert canonical(_Point(1, b""))[1] == "_Point"
+        assert digest(_Point(1, b"")) != digest(_Renamed(1, b""))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):

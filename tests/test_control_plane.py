@@ -81,12 +81,12 @@ class TestDrain:
 class TestHostIndices:
     def test_out_of_range_indices_are_refused(self, plane):
         _launch(plane, "g", host=1)
-        for bad in (-1, 3, 7):
+        for bad in (-1, 3, 7, True, False):
             for call in (plane.quarantine_host, plane.lift_quarantine,
                          plane.attest_host, plane.evacuate,
                          lambda index: plane.migrate("g", target=index),
                          lambda index: _launch(plane, "h", host=index)):
-                with pytest.raises(FleetError, match="no host %d" % bad):
+                with pytest.raises(FleetError, match="no host %r" % bad):
                     call(bad)
         assert plane.quarantined == set()
         assert plane.inventory() == {0: [], 1: ["g"], 2: []}
