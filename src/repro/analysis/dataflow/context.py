@@ -25,7 +25,6 @@ class DataflowContext:
         self.cfg_hits = 0
         self._index = None
         self._summaries = None
-        self._callgraph = None
         self._effects = None
 
     @property
@@ -43,18 +42,10 @@ class DataflowContext:
         return self._summaries
 
     @property
-    def callgraph(self):
-        """Project-wide call edges (built once, shared with effects)."""
-        if self._callgraph is None:
-            from repro.analysis.dataflow.callgraph import CallGraph
-            self._callgraph = CallGraph(self)
-        return self._callgraph
-
-    @property
     def effects(self):
-        """qualname -> EffectSummary, the transitive-effect fixpoint.
-        Independent of :attr:`summaries`: a FID013-only run builds the
-        call graph and effects but never the taint/gate summaries."""
+        """qualname -> EffectSummary, FID015's per-function hints.
+        Independent of :attr:`summaries`: a FID015-only run never
+        builds the taint/gate summaries."""
         if self._effects is None:
             from repro.analysis.dataflow.effects import compute_effects
             self._effects = compute_effects(self)

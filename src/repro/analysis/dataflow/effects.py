@@ -1,45 +1,31 @@
-"""Interprocedural effect summaries: who mutates what, who draws what.
+"""Effect summaries and the ambient-entropy flow behind FID015.
 
-The determinism story (byte-identical sharded merges, replayable soaks)
-is a claim about *effects*: a function handed to the sharded runner
-must not mutate process-global state the module-state registry does
-not know about, must not draw ambient entropy, and must not read the
-host clock into modelled results.  This module
-computes, for every indexed function, an :class:`EffectSummary` —
+For every indexed function this module computes an
+:class:`EffectSummary` of two bits:
 
-* ``writes`` — module-global bindings mutated, as ``(module, name,
-  qualname-of-the-actual-writer)`` triples;
-* ``rng`` — ambient entropy draws (``os.urandom``, ``secrets``,
-  ``uuid4``, module-level ``random.*``, unseeded ``random.Random()``),
-  including bare *references* to such functions (aliasing a reader is
-  as bad as calling it);
-* ``clock`` — host wall-clock reads (``time.*``, ``datetime.now``...);
 * ``returns_param`` — syntactic "some return mentions a parameter"
   (the laundering hint the taint summaries also use);
 * ``returns_entropy`` — may the return value derive from ambient
   entropy or the clock (flow-computed, see below).
 
-Summaries are propagated to a least fixpoint over the
-:class:`~repro.analysis.dataflow.callgraph.CallGraph` — plain monotone
-set union, so recursion terminates — which is what lets FID013 reject a
-shard function whose *helper's helper* bumps an unregistered counter.
-
-The second half is the flow-sensitive ambient-entropy analysis behind
-FID015: a forward taint pass (same lattice machinery as FID010) whose
-sources are clock/entropy calls, aliased references to them, and calls
-to ``returns_entropy`` functions; its sinks are RNG seeding
-(``random.Random(x)`` / ``rng.seed(x)``) and stores into simulation
-state (``self.attr`` or a module-global container).
+The flow-sensitive ambient-entropy analysis is a forward taint pass
+(same lattice machinery as FID010) whose sources are clock/entropy
+calls, aliased references to them, and calls to ``returns_entropy``
+functions; its sinks are RNG seeding (``random.Random(x)`` /
+``rng.seed(x)``) and stores into simulation state (``self.attr`` or a
+module-global container).  ``returns_entropy`` is folded over the
+index for a bounded number of rounds, so an entropy-returning helper's
+caller is a source too.
 
 Known narrowness, inherited from the resolution policy and documented
-in docs/dataflow.md: calls that do not resolve contribute no effects,
-and effects behind ``obj.method(...)`` on non-unique names are unseen.
-The rules built on top are therefore strict only about what the engine
+in docs/dataflow.md: calls that do not resolve contribute no entropy,
+and helpers behind ``obj.method(...)`` on non-unique names are unseen.
+The rule built on top is therefore strict only about what the engine
 can actually prove.
 """
 
 import ast
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from repro.analysis.astutil import dotted_name
 from repro.analysis.dataflow.cfg import calls_in
@@ -50,39 +36,13 @@ from repro.analysis.dataflow.taint import (
     CLEAN_CALL_NAMES, TaintAnalysis, _env_at)
 
 
-class EffectSummary(namedtuple(
-        "EffectSummary", "writes rng clock returns_param returns_entropy")):
-    """Transitive effects of one function (all fields but the last two
-    are frozensets; see the module docstring for element shapes)."""
-
-    __slots__ = ()
-
-    def writes_global(self, name=None):
-        if name is None:
-            return bool(self.writes)
-        return any(n == name or "%s:%s" % (m, n) == name
-                   for m, n, _writer in self.writes)
-
-    @property
-    def unseeded_rng(self):
-        return bool(self.rng)
-
-    @property
-    def reads_clock(self):
-        return bool(self.clock)
+EffectSummary = namedtuple("EffectSummary", "returns_param returns_entropy")
 
 
 #: constructor calls whose result is a mutable container
 MUTABLE_CONSTRUCTORS = frozenset({
     "dict", "list", "set", "bytearray", "OrderedDict", "defaultdict",
     "deque", "Counter",
-})
-
-#: method names that mutate their receiver in place
-MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "discard", "remove", "clear",
-    "update", "pop", "popitem", "setdefault", "move_to_end", "sort",
-    "reverse", "appendleft", "extendleft", "popleft", "subtract",
 })
 
 CLOCK_MODULES = frozenset({"time"})
@@ -132,20 +92,19 @@ def _canonical_dotted(dotted, module_aliases):
 
 
 def classify_ambient_ref(dotted):
-    """("rng"|"clock", description) for a reference to an ambient
-    function, or None.  ``random.Random`` itself is excluded —
-    only its unseeded *call* is ambient."""
+    """A description of a reference to an ambient clock or entropy
+    function, or None.  ``random.Random`` itself is excluded — only its
+    unseeded *call* is ambient."""
     if not dotted:
         return None
     parts = dotted.split(".")
     top = parts[0]
     tail2 = ".".join(parts[-2:])
-    if top in CLOCK_MODULES or tail2 in CLOCK_CALLS:
-        return ("clock", dotted)
-    if top in ENTROPY_MODULES or tail2 in ENTROPY_CALLS:
-        return ("rng", dotted)
+    if top in CLOCK_MODULES or tail2 in CLOCK_CALLS or \
+            top in ENTROPY_MODULES or tail2 in ENTROPY_CALLS:
+        return dotted
     if top == "random" and len(parts) >= 2 and parts[1] != "Random":
-        return ("rng", dotted + " (hidden module-global RNG state)")
+        return dotted + " (hidden module-global RNG state)"
     return None
 
 
@@ -165,7 +124,7 @@ def classify_ambient_call(call, fn_aliases, module_aliases,
     tail2 = ".".join(dotted.split(".")[-2:])
     if tail2 == "random.Random":
         if not call.args and not call.keywords:
-            return ("rng", "unseeded random.Random()")
+            return "unseeded random.Random()"
         return None
     return classify_ambient_ref(dotted)
 
@@ -213,13 +172,13 @@ def _mutable_value_kind(value):
     return None
 
 
-# --------------------------------------------------- local effect extraction
+# ------------------------------------------------------- binding and shadows
 
 def _binding_names(target):
     """Names a target pattern actually *binds*: bare names, through
     tuple/list/starred nesting.  ``x[k] = v`` and ``x.a = v`` bind
     nothing — the base name keeps referring to the enclosing scope,
-    which is exactly why such stores are global writes, not shadows."""
+    so such a store does not shadow it."""
     out, stack = set(), [target]
     while stack:
         node = stack.pop()
@@ -257,156 +216,15 @@ def _base_name(expr):
     return expr.id if isinstance(expr, ast.Name) else None
 
 
-def local_effects(fi, module, mutables, fn_aliases, module_aliases):
-    """The :class:`EffectSummary` of one function body alone (nested
-    defs included: a closure's effects belong to whoever defines it)."""
-    qual = fi.qualname
-    global_decls = set()
-    for node in ast.walk(fi.node):
-        if isinstance(node, ast.Global):
-            global_decls.update(node.names)
-    args = fi.node.args
-    params = {a.arg for a in args.args + args.kwonlyargs +
-              getattr(args, "posonlyargs", [])}
-    for extra in (args.vararg, args.kwarg):
-        if extra is not None:
-            params.add(extra.arg)
-    shadowed = (params | _assigned_names(fi.node)) - global_decls
-
-    writes, rng, clock = set(), set(), set()
-    call_func_ids = set()
-
-    def visible(name):
-        return name in mutables and name not in shadowed
-
-    def add_site(kind_desc, lineno):
-        kind, desc = kind_desc
-        {"rng": rng, "clock": clock}[kind].add((qual, desc, lineno))
-
-    for node in ast.walk(fi.node):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    if target.id in global_decls:
-                        writes.add((module.name, target.id, qual))
-                elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                    base = _base_name(target)
-                    if base is not None and visible(base):
-                        writes.add((module.name, base, qual))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    if target.id in global_decls:
-                        writes.add((module.name, target.id, qual))
-                elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                    base = _base_name(target)
-                    if base is not None and visible(base):
-                        writes.add((module.name, base, qual))
-        elif isinstance(node, ast.Call):
-            call_func_ids.add(id(node.func))
-            func = node.func
-            if isinstance(func, ast.Attribute) and \
-                    func.attr in MUTATING_METHODS:
-                base = _base_name(func.value)
-                if base is not None and visible(base):
-                    writes.add((module.name, base, qual))
-            classified = classify_ambient_call(
-                node, fn_aliases, module_aliases, shadowed)
-            if classified is not None:
-                add_site(classified, node.lineno)
-        elif isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Load):
-                canonical = fn_aliases.get(node.id)
-                if canonical is not None and node.id not in shadowed \
-                        and id(node) not in call_func_ids:
-                    classified = classify_ambient_ref(canonical)
-                    if classified is not None:
-                        add_site(classified, node.lineno)
-
-    # bare references to ambient functions (``reader = os.urandom``):
-    # aliasing a nondeterministic reader is an effect in itself, and
-    # ast.walk visits a Call before its ``func`` child, so direct call
-    # spellings were already excluded via ``call_func_ids``
-    for node in ast.walk(fi.node):
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.ctx, ast.Load) and \
-                id(node) not in call_func_ids:
-            raw = dotted_name(node) or ""
-            if raw.split(".")[0] in shadowed:
-                continue
-            dotted = _canonical_dotted(raw, module_aliases)
-            classified = classify_ambient_ref(dotted or "")
-            if classified is not None:
-                add_site(classified, node.lineno)
-
-    return EffectSummary(
-        frozenset(writes), frozenset(rng), frozenset(clock),
-        _returns_mention_param(fi.node), False)
-
-
-# ------------------------------------------------------- transitive fixpoint
+# ------------------------------------------------------------ the summaries
 
 def compute_effects(ctx):
-    """qualname -> EffectSummary, to a least fixpoint over the call
-    graph (monotone set union: recursion and mutual recursion simply
-    converge), then a bounded flow phase for ``returns_entropy``."""
-    index = ctx.index
-    graph = ctx.callgraph
-    alias_cache = {}
-
-    def aliases_of(module):
-        if module.name not in alias_cache:
-            alias_cache[module.name] = ambient_aliases(module)
-        return alias_cache[module.name]
-
-    mutables_cache = {}
-
-    def mutables_of(module):
-        if module.name not in mutables_cache:
-            mutables_cache[module.name] = frozenset(
-                module_mutable_globals(module))
-        return mutables_cache[module.name]
-
-    local = {}
-    for fi in index.functions:
-        module = ctx.module_of(fi)
-        fn_aliases, module_aliases = aliases_of(module)
-        local[fi.qualname] = local_effects(
-            fi, module, mutables_of(module), fn_aliases, module_aliases)
-
-    sums = dict(local)
-    work = deque(sorted(local))
-    queued = set(work)
-    while work:
-        qual = work.popleft()
-        queued.discard(qual)
-        merged = _union_effects(
-            local[qual],
-            [sums[c] for c in graph.callees(qual) if c in sums])
-        if merged != sums[qual]:
-            sums[qual] = merged
-            for caller in graph.callers(qual):
-                if caller in local and caller not in queued:
-                    work.append(caller)
-                    queued.add(caller)
-
-    _fold_returns_entropy(ctx, sums, aliases_of, mutables_of)
+    """qualname -> EffectSummary: the ``returns_param`` hint for every
+    function, then a bounded flow phase for ``returns_entropy``."""
+    sums = {fi.qualname: EffectSummary(_returns_mention_param(fi.node), False)
+            for fi in ctx.index.functions}
+    _fold_returns_entropy(ctx, sums)
     return sums
-
-
-def _union_effects(base, others):
-    writes = set(base.writes)
-    rng = set(base.rng)
-    clock = set(base.clock)
-    for other in others:
-        writes |= other.writes
-        rng |= other.rng
-        clock |= other.clock
-    return base._replace(
-        writes=frozenset(writes), rng=frozenset(rng),
-        clock=frozenset(clock))
 
 
 def _mentions_ambient(func_node):
@@ -420,8 +238,9 @@ def _mentions_ambient(func_node):
     return False
 
 
-def _fold_returns_entropy(ctx, sums, aliases_of, mutables_of):
+def _fold_returns_entropy(ctx, sums):
     index = ctx.index
+    aliases = {}
     mention_cache = {fi.qualname: _mentions_ambient(fi.node)
                      for fi in index.functions}
     names_cache = {fi.qualname: called_names(fi.node)
@@ -437,7 +256,9 @@ def _fold_returns_entropy(ctx, sums, aliases_of, mutables_of):
                     names_cache[fi.qualname] & entropy_names):
                 continue
             module = ctx.module_of(fi)
-            fn_aliases, module_aliases = aliases_of(module)
+            if module.name not in aliases:
+                aliases[module.name] = ambient_aliases(module)
+            fn_aliases, module_aliases = aliases[module.name]
             analysis = AmbientEntropyAnalysis(
                 fi, index, sums, fn_aliases, module_aliases)
             if _returns_entropy_flow(fi, module, ctx, analysis):
@@ -484,14 +305,14 @@ class AmbientEntropyAnalysis(TaintAnalysis):
                 dotted = _canonical_dotted(raw, self.module_aliases)
                 classified = classify_ambient_ref(dotted)
                 if classified is not None:
-                    return frozenset({("efn", classified[1])})
+                    return frozenset({("efn", classified)})
         if isinstance(expr, ast.Name):
             tags = env.get(expr.id, frozenset())
             canonical = self.fn_aliases.get(expr.id)
             if canonical is not None and expr.id not in self.shadowed:
                 classified = classify_ambient_ref(canonical)
                 if classified is not None:
-                    tags = tags | frozenset({("efn", classified[1])})
+                    tags = tags | frozenset({("efn", classified)})
             return tags
         return super().eval_expr(expr, env)
 
@@ -499,7 +320,7 @@ class AmbientEntropyAnalysis(TaintAnalysis):
         classified = classify_ambient_call(
             call, self.fn_aliases, self.module_aliases, self.shadowed)
         if classified is not None:
-            return frozenset({("entropy", classified[1], call.lineno)})
+            return frozenset({("entropy", classified, call.lineno)})
         dotted = _canonical_dotted(
             dotted_name(call.func) or "", self.module_aliases)
         if ".".join(dotted.split(".")[-2:]) == "random.Random":

@@ -97,27 +97,6 @@ class FunctionIndex:
     def functions_in(self, module_name):
         return self._by_module.get(module_name, [])
 
-    def resolve_ref(self, expr, module_name=None):
-        """Resolve a *function reference* expression (not a call) —
-        ``fn`` or ``mod.fn`` passed as a value, e.g. the ``fn`` argument
-        of ``WorkUnit.of`` or a dispatch-table entry — with the same
-        narrowness as :meth:`resolve`: own module first, then a
-        project-wide unique name."""
-        if isinstance(expr, ast.Name):
-            if module_name is not None:
-                fi = self._bare_by_module.get((module_name, expr.id))
-                if fi is not None:
-                    return fi
-            candidates = self._bare_by_name.get(expr.id, ())
-            if len(candidates) == 1:
-                return candidates[0]
-            return None
-        if isinstance(expr, ast.Attribute):
-            candidates = self._all_by_name.get(expr.attr, ())
-            if len(candidates) == 1:
-                return candidates[0]
-        return None
-
     def resolve(self, call, caller):
         """The FunctionInfo a call statically targets, or None."""
         func = call.func

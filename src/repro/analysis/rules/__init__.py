@@ -14,15 +14,14 @@ FID009 fault-containment fault-injection machinery stays in repro.faults
 FID010 secret-taint      decrypted data sanitized before host-visible sinks
 FID011 gate-typestate    every gate _enter matched by _exit on all paths
 FID012 path-cycle-accounting  every working repro.hw path charges cycles
-FID013 shard-purity      runner work units transitively effect-clean
 FID014 state-inventory   module-global mutables registered and classified
 FID015 entropy-flow      ambient entropy never reaches seeds or state
 
 FID010–FID012 are flow-sensitive: they run over the shared dataflow
 layer (:mod:`repro.analysis.dataflow`) instead of bare AST matching.
-FID013–FID015 additionally use the interprocedural call-graph and
-effect-summary engine (:mod:`repro.analysis.dataflow.effects`) and the
-module-state registry (:mod:`repro.common.state_registry`).
+FID014 reads the module-state registry
+(:mod:`repro.common.state_registry`); FID015 runs the ambient-entropy
+flow of :mod:`repro.analysis.dataflow.effects`.
 """
 
 from repro.analysis.rules import (  # noqa: F401
@@ -38,7 +37,6 @@ from repro.analysis.rules import (  # noqa: F401
     secret_taint,
     gate_typestate,
     path_cycles,
-    shard_purity,
     state_inventory,
     entropy_flow,
 )

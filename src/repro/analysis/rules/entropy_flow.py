@@ -31,7 +31,13 @@ from repro.analysis.dataflow.effects import (
 from repro.analysis.dataflow.summaries import called_names
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
-from repro.analysis.rules.shard_purity import TIMING_ALLOWED_MODULES
+
+#: modules whose wall-clock reads are the *point* (unit timeouts,
+#: utilization); their FID007 suppressions document why the readings
+#: never enter modelled results
+TIMING_ALLOWED_MODULES = frozenset({
+    "repro.runner.executor",
+})
 
 
 @rule("FID015", "entropy-flow", Severity.ERROR,

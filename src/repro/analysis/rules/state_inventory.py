@@ -1,6 +1,6 @@
 """FID014: module-state inventory — no anonymous module-global state.
 
-Shard purity (FID013) and the benchmark's fresh-interpreter set-ups
+The pool's cache resets and the benchmark's fresh-interpreter set-ups
 can only be trusted if the set of process-global mutable bindings in
 the simulator core is a closed, audited list.  This rule makes the list
 self-maintaining: every module-level mutable binding in ``repro.hw`` /
@@ -15,13 +15,13 @@ itself, so the manifest cannot rot).
 
 Every ``derived-cache`` entry must name a ``reset``, and a ``reset``
 must name a function defined in the registered module: it is the hook
-FID013 accepts for shard-legal caches and the one the benchmark calls
-to empty every cache before a set-up.
+the runner's cache-resetting serial differential and the benchmark
+call to empty every cache before a unit or a set-up.
 
 ``fidelint --state-report state.json`` emits the merged inventory
 (registered + unregistered + stale) as a machine-readable artifact;
-CI uploads it and fails on any unregistered binding via the strict
-FID014 step.
+CI uploads it and fails on any unregistered binding through its
+zero-tolerance fidelint step.
 """
 
 import ast

@@ -9,7 +9,7 @@ it —
 ``derived-cache``
     Recomputable from durable state; a sharded worker may keep it
     **only** because the registered ``reset`` callable empties it
-    (FID014 requires the annotation, FID013 relies on it).
+    (FID014 requires the annotation).
 ``counters``
     Diagnostic tallies; excluded from determinism digests, cleared by
     the same ``reset`` as the cache they describe.
@@ -27,10 +27,10 @@ a machine-readable artifact.
 
 This manifest is *data about* the tree, matched purely syntactically —
 nothing here imports the modules it describes.  It lives in
-``repro.common`` (layer 0) so that any layer may read it: the fidelint
-effect rules (FID013/FID014) read it for enforcement, and the
-end-to-end benchmark (``e2ebench/``) calls every registered ``reset``
-before each set-up, so each starts from a fresh interpreter's state.
+``repro.common`` (layer 0) so that any layer may read it: fidelint's
+FID014 reads it for enforcement, and the end-to-end benchmark
+(``e2ebench/``) calls every registered ``reset`` before each set-up,
+so each starts from a fresh interpreter's state.
 """
 
 from collections import namedtuple

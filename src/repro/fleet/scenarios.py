@@ -7,8 +7,7 @@ shutdown churn — as a frozen, picklable value.  :func:`drive_region`
 turns one spec into a drained :class:`~repro.fleet.model.FleetModel`
 and a :class:`RegionReport`; it is a module-level function taking only
 picklable arguments precisely so it can ride a
-:class:`~repro.runner.plan.WorkUnit` (FID013 audits it at the
-submission site in :func:`run_fleet`).
+:class:`~repro.runner.plan.WorkUnit` (submitted by :func:`run_fleet`).
 
 Scale comes from sharding: :func:`region_specs` splits a spec into
 ``regions`` independent sub-fleets (cross-region migration is not

@@ -14,16 +14,16 @@ whichever worker finished first.
   spawned, and takes the next pending unit whenever it goes idle, so
   process-global derived caches (the keystream line and span
   LRUs) stay warm across the units one worker runs.  A warm cache may
-  change wall-clock but never results.  Two runtime differentials check
+  change wall-clock but never results.  Runtime differentials check
   that: ``tests/runner/test_pool.py`` against a serial run that empties
-  every registered derived cache before each unit, and CI's soak at
-  ``--jobs 20``.  The shard-purity rule (FID013) adds a static check
-  over the calls its call graph resolves.  With ``jobs`` at least the
-  number of units, every unit runs in a new process of its own.  Units
-  travel to workers, and results travel back, as one pickled byte blob
-  each way, so the spawn/serialize overhead is measurable: the
-  report's ``sharding`` section breaks out spawn vs transport vs
-  compute time and the bytes moved.
+  every registered derived cache before each unit, CI's soak at
+  ``--jobs 20``, and CI's fleet campaign digested serial against
+  ``--jobs 4``.  With ``jobs`` at least the number of units, every
+  unit runs in a new process of its own.  Units travel to workers, and
+  results travel back, as one pickled byte blob each way, so the
+  spawn/serialize overhead is measurable: the report's ``sharding``
+  section breaks out spawn vs transport vs compute time and the bytes
+  moved.
 
 A unit that raises reports its traceback and fails alone.  A worker
 that *dies* (segfault, ``os._exit``, OOM kill) fails only the unit it

@@ -1,19 +1,13 @@
-"""The interprocedural effect engine and the rules built on it.
+"""The effect summaries and the rules built on them.
 
-Covers the call-graph/effect-summary fixpoint (transitive writes,
-recursion termination, dispatch-table edges), the shard-purity /
-state-inventory / entropy-flow rules end to end, the ``--state-report``
-artifact, and the contract the whole layer exists to defend: a
-*runtime* differential showing that a shard function mutating a module
-global really does lose state under ``jobs > 1`` — the bug class FID013
-bans statically.
+Covers the state-inventory and entropy-flow rules end to end, the
+ambient-source classification FID015 rests on (a helper's RNG draw or
+clock read, a seeded generator, a local that merely shares a module's
+name), and the ``--state-report`` artifact.
 """
 
-import importlib
 import json
 import os
-import shutil
-import sys
 import textwrap
 
 from repro.analysis import analyze
@@ -47,95 +41,20 @@ def _make_tree(tmp_path, modules):
     return str(root)
 
 
-def _effects(root):
-    return Project.load(root).dataflow.effects
+def _entropy_flows(tmp_path, source):
+    """FID015's messages on a one-module tree under ``core/``."""
+    root = _make_tree(tmp_path, {"core/mod.py": source})
+    result = analyze(root, baseline_path=None, select=["FID015"])
+    return sorted(f.message for f in result.findings)
 
 
-def _copy_live_tree(tmp_path):
-    root = str(tmp_path / "src")
-    shutil.copytree(
-        os.path.join(SRC_ROOT, "repro"), os.path.join(root, "repro"),
-        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-    return root
-
-
-# ------------------------------------------------------- effect summaries
-
-def test_transitive_write_through_helper(tmp_path):
-    root = _make_tree(tmp_path, {"eval/mod.py": """\
-        _ACC = []
-
-
-        def _leaf(value):
-            _ACC.append(value)
-
-
-        def _mid(value):
-            _leaf(value + 1)
-
-
-        def top(value):
-            _mid(value)
-            return value
-        """})
-    effects = _effects(root)
-    for func in ("_leaf", "_mid", "top"):
-        summary = effects["repro.eval.mod:%s" % func]
-        assert summary.writes_global("_ACC"), func
-        assert summary.writes_global("repro.eval.mod:_ACC"), func
-    assert not effects["repro.eval.mod:top"].unseeded_rng
-
-
-def test_recursion_reaches_a_fixpoint(tmp_path):
-    # Mutual recursion must terminate and both sides must see the
-    # write that only one of them performs directly.
-    root = _make_tree(tmp_path, {"eval/mod.py": """\
-        _SEEN = set()
-
-
-        def ping(n):
-            if n <= 0:
-                return n
-            _SEEN.add(n)
-            return pong(n - 1)
-
-
-        def pong(n):
-            return ping(n - 1)
-        """})
-    effects = _effects(root)
-    assert effects["repro.eval.mod:ping"].writes_global("_SEEN")
-    assert effects["repro.eval.mod:pong"].writes_global("_SEEN")
-
-
-def test_dispatch_table_edges_propagate_effects(tmp_path):
-    # the only call is TABLE[name](...), as in repro.eval's COMMANDS,
-    # so without dispatch-table resolution the write would be invisible.
-    root = _make_tree(tmp_path, {"eval/mod.py": """\
-        _HITS = []
-
-
-        def _bench_a(n):
-            _HITS.append(n)
-            return n
-
-
-        def _bench_b(n):
-            return n * 2
-
-
-        TABLE = {"a": _bench_a, "b": _bench_b}
-
-
-        def run(name, n):
-            return TABLE[name](n)
-        """})
-    effects = _effects(root)
-    assert effects["repro.eval.mod:run"].writes_global("_HITS")
-
+# ----------------------------------------------- ambient classification
 
 def test_ambient_classification_rng_and_clock(tmp_path):
-    root = _make_tree(tmp_path, {"eval/mod.py": """\
+    # a helper's module-level random draw and its clock read are both
+    # entropy once stored into simulation state; an explicitly seeded
+    # generator is the sanctioned pattern
+    assert _entropy_flows(tmp_path, """\
         import random
         import time
 
@@ -150,39 +69,34 @@ def test_ambient_classification_rng_and_clock(tmp_path):
 
         def seeded(seed):
             return random.Random(seed).random()
-        """})
-    effects = _effects(root)
-    assert effects["repro.eval.mod:roll"].unseeded_rng
-    assert not effects["repro.eval.mod:roll"].reads_clock
-    assert effects["repro.eval.mod:stamp"].reads_clock
-    # an explicitly seeded generator is the sanctioned pattern
-    assert not effects["repro.eval.mod:seeded"].unseeded_rng
+
+
+        class Probe:
+            def sample(self, seed):
+                self.rolled = roll()
+                self.stamped = stamp()
+                self.seeded = seeded(seed)
+        """) == [
+        "ambient entropy (return of roll()) reaches simulation state "
+        "(self.rolled) in repro.core.mod:Probe.sample",
+        "ambient entropy (return of stamp()) reaches simulation state "
+        "(self.stamped) in repro.core.mod:Probe.sample",
+    ]
 
 
 def test_local_named_secrets_is_not_the_secrets_module(tmp_path):
-    # Regression: a local list called ``secrets`` must not classify as
-    # ambient entropy just because its name collides with the module.
-    root = _make_tree(tmp_path, {"eval/mod.py": """\
-        def collect(machine):
-            secrets = []
-            for vm in machine.vms:
-                secrets.append(vm.key)
-            return secrets
-        """})
-    summary = _effects(root)["repro.eval.mod:collect"]
-    assert not summary.unseeded_rng
-    assert not summary.writes_global()
+    # Regression: a local called ``secrets`` must not classify as
+    # ambient entropy just because its name collides with the module,
+    # even when a call on it is stored into simulation state.
+    assert _entropy_flows(tmp_path, """\
+        class Vault:
+            def open(self, store):
+                secrets = store.keys()
+                self.first = secrets.pop()
+        """) == []
 
 
 # ------------------------------------------------- the rules on fixtures
-
-def test_fid013_names_the_workunit_site_and_the_global(tmp_path):
-    result = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID013"])
-    (finding,) = result.findings
-    assert finding.module == "repro.eval.bad_shard"
-    assert "_RESULTS" in finding.message
-    assert "WorkUnit" in finding.line_text
-
 
 def test_fid014_points_at_the_unregistered_binding():
     result = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID014"])
@@ -205,115 +119,35 @@ def test_fid015_sees_through_alias_and_helper():
         f.module for f in syntactic.findings}
 
 
-def test_registered_reset_acceptance_on_live_crypto(tmp_path, monkeypatch):
-    # The keystream caches are written by shard-reachable crypto code;
-    # FID013 accepts the writes *because* the bindings are registered
-    # with a reset hook.  No live WorkUnit reaches crypto through a call
-    # the graph resolves, so the shard here is seeded.  Dropping the
-    # registry entries must flip both FID013 (the write becomes
-    # unregistered) and FID014 (the binding loses its inventory entry).
+def test_registered_reset_acceptance_on_live_crypto(monkeypatch):
+    # The keystream caches are process-global state a pooled worker
+    # keeps warm; FID014 accepts them *because* the bindings are
+    # registered with a reset hook.  Dropping the registry entries must
+    # flip FID014: every crypto binding loses its inventory entry.
     assert lookup("repro.common.crypto", "_line_cache").reset \
         == "clear_keystream_cache"
-    root = _copy_live_tree(tmp_path)
-    shard = os.path.join(root, "repro", "eval", "seeded_crypto.py")
-    with open(shard, "w", encoding="utf-8") as handle:
-        handle.write(textwrap.dedent("""\
-            from repro.common import crypto
-            from repro.runner import WorkUnit, execute
-
-
-            def _step(seed):
-                return crypto.xex_line_encrypt(b"k" * 16, seed << 6, b"x")
-
-
-            def sweep(seeds):
-                units = [WorkUnit.of(s, _step, s) for s in seeds]
-                return execute(units).values()
-            """))
-    rules = ["FID013", "FID014"]
-    assert not analyze(root, baseline_path=None, select=rules).findings
+    rules = ["FID014"]
+    assert not analyze(SRC_ROOT, baseline_path=None, select=rules).findings
 
     from repro.common import state_registry
     stripped = {key: entry for key, entry in state_registry.REGISTRY.items()
                 if key[0] != "repro.common.crypto"}
     monkeypatch.setattr(state_registry, "REGISTRY", stripped)
 
-    broken = analyze(root, baseline_path=None, select=rules)
-    fired = {(f.rule_id, f.module) for f in broken.findings}
-    assert fired == {("FID013", "repro.eval.seeded_crypto"),
-                     ("FID014", "repro.common.crypto")}
-    assert all("unregistered" in f.message for f in broken.findings
-               if f.rule_id == "FID013")
+    broken = analyze(SRC_ROOT, baseline_path=None, select=rules)
+    assert {f.module for f in broken.findings} == {"repro.common.crypto"}
+    assert all("not in the module-state registry" in f.message
+               for f in broken.findings)
+    assert any("'_line_cache'" in f.message for f in broken.findings)
 
 
-# --------------------------------------------- live tree + seeded regression
+# ------------------------------------------------------------ live tree
 
 def test_live_tree_is_clean_under_the_effect_rules():
     result = analyze(SRC_ROOT, baseline_path=None,
-                     select=["FID013", "FID014", "FID015"])
+                     select=["FID014", "FID015"])
     assert not result.findings, "\n".join(
         f.render() for f in result.findings)
-
-
-def test_seeded_global_mutating_shard_function_is_caught(tmp_path):
-    root = _copy_live_tree(tmp_path)
-    leak = os.path.join(root, "repro", "eval", "seeded_leak.py")
-    with open(leak, "w", encoding="utf-8") as handle:
-        handle.write(textwrap.dedent("""\
-            from repro.runner import WorkUnit, execute
-
-            _CACHE = {}
-
-
-            def _step(seed):
-                _CACHE[seed] = seed * seed
-                return _CACHE[seed]
-
-
-            def sweep(seeds):
-                units = [WorkUnit.of(s, _step, s) for s in seeds]
-                return execute(units).values()
-            """))
-    result = analyze(root, baseline_path=None, select=["FID013"])
-    assert [f.module for f in result.findings] == ["repro.eval.seeded_leak"]
-    assert "_CACHE" in result.findings[0].message
-
-
-def test_runtime_differential_shard_global_is_silently_dropped(tmp_path):
-    # The dynamic counterpart of FID013: run the same leaky shard
-    # function serially and under jobs=2.  The *returned* values merge
-    # identically, but the module-global accumulator only fills in the
-    # serial run — worker-process state never comes home.
-    from repro.runner import WorkUnit, execute
-
-    mod_dir = tmp_path / "leakymod_pkg"
-    mod_dir.mkdir()
-    (mod_dir / "leakymod.py").write_text(textwrap.dedent("""\
-        RESULTS = []
-
-
-        def leaky(seed):
-            RESULTS.append(seed * 3)
-            return seed * 3
-        """))
-    sys.path.insert(0, str(mod_dir))
-    try:
-        leakymod = importlib.import_module("leakymod")
-        seeds = [1, 2, 3, 4]
-
-        serial = execute(
-            [WorkUnit.of(s, leakymod.leaky, s) for s in seeds], jobs=1)
-        assert serial.values() == [3, 6, 9, 12]
-        assert leakymod.RESULTS == [3, 6, 9, 12]
-
-        leakymod.RESULTS.clear()
-        parallel = execute(
-            [WorkUnit.of(s, leakymod.leaky, s) for s in seeds], jobs=2)
-        assert parallel.values() == [3, 6, 9, 12]   # merge looks fine...
-        assert leakymod.RESULTS == []               # ...the state is gone
-    finally:
-        sys.path.remove(str(mod_dir))
-        sys.modules.pop("leakymod", None)
 
 
 # ------------------------------------------------------- state inventory
@@ -336,9 +170,10 @@ def test_state_registry_covers_every_scoped_mutable():
 
 def test_fid014_requires_a_reset_on_every_derived_cache(tmp_path,
                                                         monkeypatch):
-    # FID013 accepts a shard write to a derived cache only because its
-    # reset empties it, and the benchmark calls every reset before a
-    # set-up: an entry without one fires where the binding lives
+    # a reused worker may keep a derived cache only because its reset
+    # empties it, and the pool's serial differential and the benchmark
+    # call every reset: an entry without one fires where the binding
+    # lives
     root = _make_tree(tmp_path, {"common/memo.py": """\
         _MEMO = {}
 

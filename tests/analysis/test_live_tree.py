@@ -27,7 +27,7 @@ def test_live_tree_is_clean_modulo_baseline():
 
 def test_live_tree_scans_the_whole_package():
     result = analyze(SRC_ROOT, baseline_path=BASELINE)
-    assert result.rules_run == 15
+    assert result.rules_run == 14
     assert result.modules_scanned >= 85
 
 

@@ -3,7 +3,7 @@
 The fixture tree under ``fixtures/fixture_src`` is a miniature ``repro``
 package with one known-bad module per rule.  Every module is crafted to
 trigger its own rule exactly once and no other rule at all, so the whole
-tree yields exactly fifteen findings — one per rule.
+tree yields exactly fourteen findings — one per rule.
 """
 
 import os
@@ -28,7 +28,6 @@ EXPECTED = {
     "FID010": ("repro.sev.bad_taint", Severity.ERROR),
     "FID011": ("repro.core.bad_gate_typestate", Severity.ERROR),
     "FID012": ("repro.hw.bad_path_cycles", Severity.WARNING),
-    "FID013": ("repro.eval.bad_shard", Severity.ERROR),
     "FID014": ("repro.hw.bad_snapshot_state", Severity.ERROR),
     "FID015": ("repro.core.bad_entropy", Severity.ERROR),
 }
@@ -57,9 +56,9 @@ def test_fixture_tree_yields_exactly_one_finding_per_rule():
 
 
 def test_fixture_tree_fails_even_without_strict():
-    # Eleven of the fifteen rules are errors, so plain mode already fails.
+    # Ten of the fourteen rules are errors, so plain mode already fails.
     result = _fixture_result()
-    assert result.error_count == 11
+    assert result.error_count == 10
     assert result.warning_count == 4
     assert result.exit_code(strict=False) == 1
     assert result.exit_code(strict=True) == 1

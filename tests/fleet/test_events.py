@@ -1,10 +1,9 @@
-"""The discrete-event engine: ordering, tie-breaks, timers, pickling.
+"""The discrete-event engine: ordering, tie-breaks, pickling.
 
 Everything the fleet model builds on reduces to the ``EventQueue``
 contract tested here: a total, seed-deterministic order over virtual
-time, lazy O(1) cancellation, a clock that never runs backwards, and a
-queue that pickles to an identically-behaving twin (a pickled
-``FleetModel`` carries its queue).
+time, a clock that never runs backwards, and a queue that pickles to an
+identically-behaving twin (a pickled ``FleetModel`` carries its queue).
 """
 
 import pickle
@@ -75,6 +74,21 @@ class TestOrdering:
         with pytest.raises(FleetError):
             queue.schedule(-1, Event.of("x"))
 
+    def test_len_peek_time_and_empty_track_pending_events(self):
+        queue = EventQueue(seed=0)
+        assert queue.empty and len(queue) == 0
+        assert queue.peek_time() is None
+        queue.schedule(30, Event.of("b"))
+        queue.schedule(10, Event.of("a"))
+        assert len(queue) == 2
+        assert queue.peek_time() == 10
+        assert not queue.empty
+        queue.pop()
+        assert len(queue) == 1
+        assert queue.peek_time() == 30
+        queue.pop()
+        assert queue.empty and queue.peek_time() is None
+
 
 class TestSeededTieBreak:
     def _race(self, seed, n=16):
@@ -94,38 +108,6 @@ class TestSeededTieBreak:
         assert self._race(7) != self._race(8)
 
 
-class TestCancellation:
-    def test_cancelled_event_never_pops(self):
-        queue = EventQueue(seed=0)
-        keep = Event.of("keep")
-        handle = queue.schedule(10, Event.of("drop"))
-        queue.schedule(20, keep)
-        assert queue.cancel(handle) is True
-        assert [e for _t, e in _drain(queue)] == [keep]
-        assert queue.cancelled == 1
-
-    def test_cancel_is_idempotent_and_checks_liveness(self):
-        queue = EventQueue(seed=0)
-        handle = queue.schedule(10, Event.of("x"))
-        assert queue.cancel(handle) is True
-        assert queue.cancel(handle) is False          # already cancelled
-        assert queue.cancel(handle + 99) is False     # never issued
-        queue2 = EventQueue(seed=0)
-        popped = queue2.schedule(5, Event.of("y"))
-        queue2.pop()
-        assert queue2.cancel(popped) is False         # already ran
-
-    def test_len_and_peek_skip_tombstones(self):
-        queue = EventQueue(seed=0)
-        first = queue.schedule(10, Event.of("a"))
-        queue.schedule(30, Event.of("b"))
-        assert len(queue) == 2
-        queue.cancel(first)
-        assert len(queue) == 1
-        assert queue.peek_time() == 30
-        assert not queue.empty
-
-
 class TestPickleRoundTrip:
     def test_restored_queue_replays_identically(self):
         def build():
@@ -134,7 +116,6 @@ class TestPickleRoundTrip:
                 queue.schedule(index % 5 * 100, Event.of("e%d" % index))
             for _ in range(6):
                 queue.pop()    # part-way through, clock advanced
-            queue.cancel(queue.schedule(900, Event.of("doomed")))
             return queue
 
         original = build()

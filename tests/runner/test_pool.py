@@ -10,6 +10,8 @@ any start method.
 
 import importlib
 import os
+import sys
+import textwrap
 import threading
 import time
 
@@ -127,6 +129,41 @@ class TestEquivalence:
         payload = {"values": report.values(), "sharding": report.sharding}
         bare = {"values": report.values()}
         assert deterministic_digest(payload) == deterministic_digest(bare)
+
+
+def test_runtime_differential_shard_global_is_silently_dropped(tmp_path):
+    # Run a leaky shard function serially and under jobs=2.  The
+    # *returned* values merge identically, but the module-global
+    # accumulator only fills in the serial run — worker-process state
+    # never comes home.
+    mod_dir = tmp_path / "leakymod_pkg"
+    mod_dir.mkdir()
+    (mod_dir / "leakymod.py").write_text(textwrap.dedent("""\
+        RESULTS = []
+
+
+        def leaky(seed):
+            RESULTS.append(seed * 3)
+            return seed * 3
+        """))
+    sys.path.insert(0, str(mod_dir))
+    try:
+        leakymod = importlib.import_module("leakymod")
+        seeds = [1, 2, 3, 4]
+
+        serial = execute(
+            [WorkUnit.of(s, leakymod.leaky, s) for s in seeds], jobs=1)
+        assert serial.values() == [3, 6, 9, 12]
+        assert leakymod.RESULTS == [3, 6, 9, 12]
+
+        leakymod.RESULTS.clear()
+        parallel = execute(
+            [WorkUnit.of(s, leakymod.leaky, s) for s in seeds], jobs=2)
+        assert parallel.values() == [3, 6, 9, 12]   # merge looks fine...
+        assert leakymod.RESULTS == []               # ...the state is gone
+    finally:
+        sys.path.remove(str(mod_dir))
+        sys.modules.pop("leakymod", None)
 
 
 class TestShardingBreakdown:
