@@ -28,14 +28,13 @@ LAYERS = {
     "core": 4,
     "system": 5,
     "workloads": 5,
-    # The control plane (ControlPlane, the placement policies) and
+    # The control plane (ControlPlane and its capacity index) and
     # Cloud, its hook set on real Systems.
     "cloud": 6,
     # The discrete-event fleet model sits above cloud because FleetModel
     # subclasses the cloud layer's ControlPlane (its lockstep
-    # differential also drives a real Cloud, and hydration materializes
-    # real Systems), while eval (fleetbench) and faults (the soak's
-    # EventQueue) reach down into it from above.
+    # differential also drives a real Cloud), while eval (fleetbench)
+    # and faults (the soak's EventQueue) reach down into it from above.
     "fleet": 7,
     "eval": 8,
     # The chaos subsystem sits above everything it arms (it drives the

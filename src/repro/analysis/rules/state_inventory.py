@@ -31,9 +31,9 @@ from repro.analysis.dataflow.effects import module_mutable_globals
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 
-#: the simulator core ("cloud" and "fleet" ride along so the control
-#: plane's placement-policy table, and any table the fleet model grows,
-#: is inventoried like the others)
+#: the simulator core ("cloud" and "fleet" ride along so that any
+#: module-level table the control plane or the fleet model grows is
+#: inventoried like the others; today neither holds one)
 SCOPED_SUBPACKAGES = frozenset({"hw", "sev", "core", "common", "cloud",
                                 "fleet"})
 

@@ -5,10 +5,9 @@ on it (Section 4.3.1's remote-attestation use of the measurements),
 places tenants on the least-loaded attested host, migrates them between
 hosts over the SEND/RECEIVE transport and evacuates a host for
 maintenance.  That logic is written once, in
-:class:`~repro.cloud.plane.ControlPlane` (placement policies in
-:mod:`repro.cloud.policies`), and runs through four hooks — attest,
-boot, move, destroy — supplied by :class:`Cloud`, below, on real
-:class:`~repro.system.System` hosts, and by
+:class:`~repro.cloud.plane.ControlPlane`, and runs through four hooks —
+attest, boot, move, destroy — supplied by :class:`Cloud`, below, on
+real :class:`~repro.system.System` hosts, and by
 :class:`~repro.fleet.model.FleetModel` on charged records.
 
 Tenant identity survives migration: the :class:`Tenant` handle tracks
@@ -25,8 +24,7 @@ Every failure is recorded in :attr:`Cloud.events` for the operator.
 
 from dataclasses import dataclass, field
 
-from repro.cloud.plane import ControlPlane, HostRecord
-from repro.cloud.policies import FleetError
+from repro.cloud.plane import ControlPlane, FleetError, HostRecord
 from repro.common import crypto
 from repro.core.attestation import (
     AttestationAuthority,
@@ -49,8 +47,7 @@ class Tenant:
     domain: object = field(repr=False)
     ctx: object = field(repr=False)
     frames: int
-    #: tenants carry no placement tags and run until shut down
-    tags = ()
+    #: tenants run until shut down
     state = "RUNNING"
 
     @property
@@ -71,7 +68,7 @@ class Cloud(ControlPlane):
     def __init__(self, hosts=2, frames=4096, seed=0xC10D,
                  event_log_limit=DEFAULT_EVENT_LOG_LIMIT):
         super().__init__(frames, [seed + i for i in range(hosts)],
-                         "spread", event_log_limit)
+                         event_log_limit)
         self.hosts = [System.create(fidelius=True, frames=frames,
                                     seed=record.seed)
                       for record in self.host_records]
@@ -155,7 +152,7 @@ class Cloud(ControlPlane):
         quote = self._authorities[index].quote(host.fidelius, nonce)
         return verifier.explain(quote, nonce)
 
-    def _boot(self, name, index, frames, tags, owner, payload=b""):
+    def _boot(self, name, index, frames, owner, payload=b""):
         domain, ctx = self.hosts[index].boot_protected_guest(
             name, owner, payload=payload, guest_frames=frames)
         return Tenant(name, owner, index, domain, ctx, frames)

@@ -3,23 +3,88 @@
 Section 4.3.1 attests a host before anything is placed on it; Section
 4.3.6 moves guests only over the fail-closed SEND/RECEIVE transport.
 :class:`ControlPlane` owns the host records and the host-index check,
-policy placement with lazy attestation, quarantine and lift, the
+spread placement with lazy attestation, quarantine and lift, the
 pick -> migrate -> exclude retry loop, drain evacuation, the inventory
 and one bounded event log.  A subclass says what a host *is* through
 four hooks — ``_attest``, ``_boot``, ``_move`` and ``_destroy`` — that
 do the work, while the plane keeps the books: residency, capacity and
-the policy index move only after a hook has succeeded, so a failed
+the capacity index move only after a hook has succeeded, so a failed
 operation leaves the guest registered where it was.
+
+Placement has one rule, spread: the admissible host with the fewest
+resident guests that has room, ties to the lowest index.  Every caller
+that places guests (``Cloud``, the fleet campaigns, the soak and the
+lockstep) places by it; which host a guest lands on is none of the
+paper's claims, so the plane offers no other rule.
 """
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.cloud.policies import CapacityIndex, FleetError, make_policy
 from repro.common.errors import ReproError
 
 #: host lifecycle states (only the fleet model fails and retires hosts)
 UP, FAILED, QUARANTINED, RETIRED = "UP", "FAILED", "QUARANTINED", "RETIRED"
+
+
+class FleetError(ReproError):
+    """A control-plane operation that cannot proceed (no capacity, no
+    admissible host, unknown guest, no such host, a bad guest size).
+    Scenario drivers treat these the way the chaos soak treats a clean
+    ``ReproError``: an accepted, counted outcome — never silent, never
+    fatal to the run."""
+
+
+class CapacityIndex:
+    """A sorted ``(key, host_index)`` list over admissible hosts.
+
+    The plane keys each host by :func:`spread_key`; entries are
+    maintained with ``bisect`` so add/remove/update are O(log n)
+    comparisons (plus the list memmove).  Hosts leave the index
+    entirely when they fail or are quarantined — absence *is*
+    inadmissibility.
+    """
+
+    def __init__(self):
+        self._entries = []
+        self._keys = {}          # host index -> current key
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __contains__(self, host_index):
+        return host_index in self._keys
+
+    def add(self, host_index, key):
+        if host_index in self._keys:
+            raise FleetError("host %d already indexed" % host_index)
+        bisect.insort(self._entries, (key, host_index))
+        self._keys[host_index] = key
+
+    def remove(self, host_index):
+        key = self._keys.pop(host_index, None)
+        if key is None:
+            return False
+        at = bisect.bisect_left(self._entries, (key, host_index))
+        assert self._entries[at] == (key, host_index)
+        del self._entries[at]
+        return True
+
+    def update(self, host_index, key):
+        """Re-key one host (its load changed)."""
+        self.remove(host_index)
+        self.add(host_index, key)
+
+    def ordered(self):
+        """Entries in key order — the placement preference order."""
+        return self._entries
+
+
+def spread_key(host):
+    """A host's place in the spread order: fewest resident guests
+    first, ties to the lowest index."""
+    return (len(host.guests), host.index)
 
 
 @dataclass
@@ -45,14 +110,12 @@ class ControlPlane:
     one host of ``frames`` frames per entry of ``seeds``.  ``guests``
     maps names to the records the boot hook returned."""
 
-    def __init__(self, frames, seeds, policy, event_log_limit):
+    def __init__(self, frames, seeds, event_log_limit):
         if not seeds:
             raise FleetError("a fleet needs at least one host")
-        self.policy = make_policy(policy)
         self.host_records = []
         self.guests = {}
         self.capacity_index = CapacityIndex()
-        self.tag_hosts = {}      # tag -> {host index -> guest count}
         #: Operator-visible record of failure and recovery steps — a
         #: ring buffer of the newest ``event_log_limit`` events;
         #: :attr:`events_recorded` keeps the lifetime total.
@@ -68,7 +131,7 @@ class ControlPlane:
         host = HostRecord(len(self.host_records), frames, frames,
                           seed=seed)
         self.host_records.append(host)
-        self.capacity_index.add(host.index, self.policy.key(host))
+        self.capacity_index.add(host.index, spread_key(host))
         return host
 
     def _check_index(self, index):
@@ -112,20 +175,11 @@ class ControlPlane:
             self.capacity_index.remove(host.index)
         host.state = state
         if host.admissible:
-            self.capacity_index.add(host.index, self.policy.key(host))
+            self.capacity_index.add(host.index, spread_key(host))
 
     def _reindex(self, host):
         if host.admissible:
-            self.capacity_index.update(host.index, self.policy.key(host))
-
-    def _tag_shift(self, guest, host_index, delta):
-        for tag in guest.tags:
-            counts = self.tag_hosts.setdefault(tag, {})
-            counts[host_index] = counts.get(host_index, 0) + delta
-            if counts[host_index] <= 0:
-                del counts[host_index]
-            if not counts:
-                del self.tag_hosts[tag]
+            self.capacity_index.update(host.index, spread_key(host))
 
     def _check_room(self, index, frames):
         host = self.host_records[index]
@@ -137,13 +191,11 @@ class ControlPlane:
         host.free_frames -= guest.frames
         host.guests[guest.name] = guest.frames
         guest.host = host.index
-        self._tag_shift(guest, host.index, +1)
         self._reindex(host)
 
     def _unplace(self, guest, host):
         host.free_frames += guest.frames
         del host.guests[guest.name]
-        self._tag_shift(guest, host.index, -1)
         self._reindex(host)
 
     # -- attestation and quarantine --------------------------------------------
@@ -195,29 +247,40 @@ class ControlPlane:
 
     # -- placement -------------------------------------------------------------
 
-    def pick_host(self, frames=0, tags=(), exclude=()):
-        """The policy's first choice among hosts that attest: a
-        candidate that fails is quarantined, which takes it out of the
-        capacity index, and the policy is asked again."""
+    def pick_host(self, frames=0, exclude=()):
+        """The first host in spread order that is not in ``exclude``,
+        has ``frames`` free and attests.  A candidate that fails
+        attestation is quarantined, which takes it out of the capacity
+        index, and the scan starts again."""
+        hosts = self.host_records
         while True:
-            index = self.policy.choose(self, frames, tags, exclude)
-            if index is None:
+            for _key, index in self.capacity_index.ordered():
+                if index in exclude or hosts[index].free_frames < frames:
+                    continue
+                if self.attest_host(index):
+                    return index
+                break        # the index just lost this host: rescan
+            else:
                 raise FleetError("no attested host has %d free frames"
                                  % frames)
-            if self.attest_host(index):
-                return index
 
-    def launch(self, name, frames, tags=(), host=None, **boot):
-        """Attest, place and boot one guest; ``boot`` goes to the boot
-        hook.  With ``host=None`` the policy picks the host."""
+    def launch(self, name, frames, host=None, **boot):
+        """Attest, place and boot one guest of ``frames`` frames;
+        ``boot`` goes to the boot hook.  With ``host=None`` the spread
+        rule picks the host.  A size that is not a whole number of at
+        least one frame is refused before any hook runs."""
+        if not isinstance(frames, int) or isinstance(frames, bool) or \
+                frames < 1:
+            raise FleetError("guest %r cannot have %r frames"
+                             % (name, frames))
         if name in self.guests:
             raise FleetError("guest %r already exists" % name)
         if host is None:
-            host = self.pick_host(frames, tags)
+            host = self.pick_host(frames)
         elif not self.attest_host(host):
             raise FleetError("host %d fails attestation" % host)
         self._check_room(host, frames)
-        guest = self._boot(name, host, frames, tags, **boot)
+        guest = self._boot(name, host, frames, **boot)
         self._place(guest, self.host_records[host])
         self.guests[name] = guest
         return guest
@@ -263,8 +326,7 @@ class ControlPlane:
         last_error = None
         for _ in range(1 + retries):
             try:
-                destination = self.pick_host(guest.frames, guest.tags,
-                                             excluded)
+                destination = self.pick_host(guest.frames, excluded)
             except ReproError:
                 break
             try:
@@ -314,9 +376,9 @@ class ControlPlane:
         """None if host ``index`` attests cleanly now, else the reason."""
         raise NotImplementedError
 
-    def _boot(self, name, index, frames, tags, **boot):
+    def _boot(self, name, index, frames, **boot):
         """Bring guest ``name`` up on host ``index``; returns its record
-        (with ``host``, ``frames``, ``tags`` and ``state``)."""
+        (with ``name``, ``host``, ``frames`` and ``state``)."""
         raise NotImplementedError
 
     def _move(self, guest, index):

@@ -63,9 +63,6 @@ def _build(entries):
 #: (module, binding, classification, reset callable in that module or
 #:  None, why it is safe) — keep sorted by module then name
 REGISTRY = _build([
-    ("repro.cloud.policies", "POLICIES", "constant", None,
-     "placement-policy dispatch table built at import and only ever "
-     "read (make_policy instantiates per control plane)"),
     ("repro.common.crypto", "_key_invalidations", "counters",
      "clear_keystream_cache",
      "forget_key tally for cache diagnostics; never enters results"),

@@ -42,6 +42,7 @@ import time
 
 from repro.fleet import FleetModel, ScenarioSpec, run_fleet
 from repro.fleet.lockstep import run_lockstep
+from repro.fleet.scenarios import FAILURE_GROUPS, GUEST_FRAMES, HOST_FRAMES
 from repro.runner import add_jobs_argument
 from repro.runner import merge as runner_merge
 
@@ -52,11 +53,11 @@ DEFAULT_OUTPUT = "BENCH_fleet.json"
 #: 10k-host / 50k-guest artifact (ROADMAP item 2's acceptance numbers)
 PROFILES = {
     "smoke": ScenarioSpec(
-        hosts=200, guests=1_000, regions=4, policy="spread",
+        hosts=200, guests=1_000, regions=4,
         storm_migrations=100, failure_fraction=0.05, rotate=True,
         autoscale_hosts=4, churn_shutdowns=100),
     "full": ScenarioSpec(
-        hosts=10_000, guests=50_000, regions=20, policy="spread",
+        hosts=10_000, guests=50_000, regions=20,
         storm_migrations=1_000, failure_fraction=0.05, rotate=True,
         autoscale_hosts=20, churn_shutdowns=1_000),
 }
@@ -80,18 +81,19 @@ def _peak_rss_mib():
 
 
 def _spec_dict(spec):
+    """The spec's fields plus the campaign constants every spec shares
+    (a failure wave always recovers)."""
     return {
         "hosts": spec.hosts,
         "guests": spec.guests,
         "regions": spec.regions,
-        "policy": spec.policy,
         "seed": spec.seed,
-        "host_frames": spec.host_frames,
-        "guest_frames": list(spec.guest_frames),
+        "host_frames": HOST_FRAMES,
+        "guest_frames": list(GUEST_FRAMES),
         "storm_migrations": spec.storm_migrations,
         "failure_fraction": spec.failure_fraction,
-        "failure_groups": spec.failure_groups,
-        "recover": spec.recover,
+        "failure_groups": FAILURE_GROUPS,
+        "recover": True,
         "rotate": spec.rotate,
         "autoscale_hosts": spec.autoscale_hosts,
         "churn_shutdowns": spec.churn_shutdowns,

@@ -10,21 +10,15 @@ slow.  The model's trade that fidelity for scale along one explicit
 axis: hosts and guests are lightweight records, and boot, move, destroy
 and key rotation charge a fixed table of simulated cycles
 (:attr:`FleetModel.CYCLES`) instead of executing the full datapath.
-Two escape hatches keep the model honest:
-
-* **lazy hydration** (:meth:`FleetModel.hydrate`): any single host can
-  be materialized into a real :class:`~repro.system.System` with its
-  resident guests booted, so invariant spot-checks and attack
-  reproductions still run against the faithful simulator;
-* **lockstep differential** (:mod:`repro.fleet.lockstep`): the same
-  plane methods are called on a 3-host model and a real ``Cloud``,
-  comparing placements, inventories, quarantine outcomes and each
-  step's cycles: the model's charge against the real hosts'
-  ``CycleCounter`` delta.
+The **lockstep differential** (:mod:`repro.fleet.lockstep`) keeps the
+model honest: the same plane methods are called on a 3-host model and
+a real ``Cloud``, comparing placements, inventories, quarantine
+outcomes and each step's cycles: the model's charge against the real
+hosts' ``CycleCounter`` delta.
 
 Determinism is the same contract as everywhere else in the tree: one
 seed fixes the event order (the :class:`EventQueue`'s tie-break RNG),
-the scenario schedules and every policy decision; fleet regions shard
+the scenario schedules and every placement; fleet regions shard
 through :mod:`repro.runner` with the merged digest byte-identical to a
 serial run.
 """

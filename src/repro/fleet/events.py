@@ -26,7 +26,7 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from repro.cloud.policies import FleetError
+from repro.cloud.plane import FleetError
 
 #: tie-break entropy width; 32 bits keeps tuples small and hashable
 _TIE_BITS = 32
@@ -69,8 +69,6 @@ class EventQueue:
         self._heap = []
         self._seq = 0
         self._rng = random.Random(seed)
-        self.scheduled = 0
-        self.processed = 0
 
     def __len__(self):
         return len(self._heap)
@@ -89,7 +87,6 @@ class EventQueue:
         tie = self._rng.getrandbits(_TIE_BITS)
         heapq.heappush(self._heap,
                        (self.now + delay_ns, priority, tie, seq, event))
-        self.scheduled += 1
 
     def peek_time(self):
         """The virtual time of the next event, or None."""
@@ -102,5 +99,4 @@ class EventQueue:
             return None
         time_ns, _priority, _tie, _seq, event = heapq.heappop(self._heap)
         self.now = time_ns
-        self.processed += 1
         return time_ns, event

@@ -4,10 +4,10 @@
 run the same :class:`~repro.cloud.plane.ControlPlane`; they differ only
 in their attest, boot, move and destroy hooks.  This module drives a
 small real ``Cloud`` (every host a full Fidelius
-:class:`~repro.system.System`) and a ``FleetModel`` under the
-``spread`` policy through the *same* scripted campaign — launches,
-policy-chosen migrations, a tampered host, post-quarantine placements,
-shutdowns — calling the same plane method on both sides at every step.
+:class:`~repro.system.System`) and a ``FleetModel`` through the *same*
+scripted campaign — launches, plane-chosen migrations, a tampered host,
+post-quarantine placements, shutdowns — calling the same plane method
+on both sides at every step.
 It compares what the hooks can make differ: the host each call lands
 on (or its refusal), the inventories, the quarantine sets, and the
 cycles the step cost — the real hosts' summed
@@ -76,7 +76,7 @@ class _Differential:
         # must never be the model's reason to refuse what the cloud
         # accepts at this scale.
         self.model = FleetModel(hosts=hosts, host_frames=64 * frames,
-                                seed=seed, policy="spread")
+                                seed=seed)
         self.report = LockstepReport(hosts=hosts, seed=seed)
 
     def _mismatch(self, what, cloud_says, model_says):
@@ -140,7 +140,7 @@ class _Differential:
 def run_lockstep(seed=0xC10D, hosts=3, tenants=6, churn=6, frames=4096):
     """Drive the full differential; returns a :class:`LockstepReport`.
 
-    The campaign: launch ``tenants`` guests, run ``churn`` policy-chosen
+    The campaign: launch ``tenants`` guests, run ``churn`` plane-chosen
     migrations, tamper the host heading the placement order and verify
     both sides route around it identically (the cloud by *discovering*
     the tamper at its next attestation), then shut a tenant down, keep

@@ -9,19 +9,13 @@ destroy hooks touch no DRAM frames, firmware or hypervisor: each
 move the virtual clock, which follows the scenario's arrival schedule.
 What only the model has lives here: host failure (restart or
 LOST), recovery, retirement, rolling key rotation, scale-up, event
-dispatch, the state digest and hydration.  10k hosts and 50k guests fit
-in tens of megabytes; ``BENCH_fleet.json`` holds the trajectory.
+dispatch, guest tags and the state digest.  10k hosts and 50k guests
+fit in tens of megabytes; ``BENCH_fleet.json`` holds the trajectory.
 
-Honesty mechanisms:
-
-* :meth:`hydrate` materializes any single host into a *real*
-  :class:`~repro.system.System` — Fidelius installed, every resident
-  guest booted from an owner-encrypted image — so invariant audits and
-  attack reproductions can spot-check the model against the faithful
-  simulator at any point in a scenario;
-* the 3-host lockstep differential (:mod:`repro.fleet.lockstep`) calls
-  the same plane methods on this model and a real ``Cloud``, and holds
-  every step's charge equal to the real hosts' cycle delta.
+The model's check against the faithful stack is the 3-host lockstep
+differential (:mod:`repro.fleet.lockstep`): it calls the same plane
+methods on this model and a real ``Cloud``, and holds every step's
+charge equal to the real hosts' cycle delta.
 
 Determinism: one seed fixes the event queue's tie-breaks and the
 model RNG; all iteration is over insertion-ordered dicts or sorted
@@ -31,14 +25,12 @@ processes, which is what lets fleet regions shard through
 """
 
 import random
-import zlib
 from dataclasses import dataclass
 
 from repro.cloud import ControlPlane, FleetError
 from repro.cloud.plane import FAILED, QUARANTINED, RETIRED, UP
 from repro.fleet.events import EventQueue
 from repro.runner.merge import digest
-from repro.system import GuestOwner, System
 
 __all__ = ["FAILED", "QUARANTINED", "RETIRED", "UP", "FleetModel",
            "GuestRecord"]
@@ -49,7 +41,9 @@ EVENT_LOG_LIMIT = 1024
 
 @dataclass
 class GuestRecord:
-    """One guest as bookkeeping: where it lives and what it costs."""
+    """One guest as bookkeeping: where it lives and what it costs.
+    ``tags`` are boot data the scenario attaches; they enter the digest
+    and nothing else reads them."""
 
     name: str
     host: int
@@ -79,10 +73,10 @@ class FleetModel(ControlPlane):
         "shutdown": (1_318, 128),
     }
 
-    def __init__(self, hosts, host_frames=256, seed=0, policy="spread"):
+    def __init__(self, hosts, host_frames=256, seed=0):
         super().__init__(host_frames,
                          [(seed << 8) + index for index in range(hosts)],
-                         policy, EVENT_LOG_LIMIT)
+                         EVENT_LOG_LIMIT)
         self.queue = EventQueue(seed)
         self.rng = random.Random((seed << 4) ^ 0xF1EE7)
         self.seed = seed
@@ -93,7 +87,6 @@ class FleetModel(ControlPlane):
             "retired": 0, "rotated_guests": 0, "rotations": 0,
             "scale_ups": 0, "shutdowns": 0,
         }
-        self._hydrated = {}
 
     @property
     def hosts(self):
@@ -110,7 +103,7 @@ class FleetModel(ControlPlane):
         self.metrics["attests"] += 1
         return None
 
-    def _boot(self, name, index, frames, tags):
+    def _boot(self, name, index, frames, tags=()):
         self.metrics["launches"] += 1
         self._charge("boot", frames)
         return GuestRecord(name=name, host=index, frames=frames,
@@ -145,7 +138,7 @@ class FleetModel(ControlPlane):
             guest = self.guests[name]
             self._unplace(guest, host)
             try:
-                target = self.pick_host(guest.frames, guest.tags, {index})
+                target = self.pick_host(guest.frames)
             except FleetError:
                 guest.state = "LOST"
                 guest.host = -1
@@ -256,7 +249,7 @@ class FleetModel(ControlPlane):
 
     def _on_launch(self, event):
         self.launch(event.get("name"), event.get("frames"),
-                    tuple(event.get("tags", ())))
+                    tags=tuple(event.get("tags", ())))
 
     def _on_migrate(self, event):
         self.migrate(event.get("name"), target=event.get("target"))
@@ -303,7 +296,11 @@ class FleetModel(ControlPlane):
                 for h in self.host_records
             ],
             "metrics": dict(self.metrics),
-            "policy": self.policy.name,
+            # Spread is the plane's one placement rule.  The key stays
+            # so that the committed region and fleet digests
+            # (BENCH_fleet.json, e2ebench's fleet sim_digest) keep
+            # their values.
+            "policy": "spread",
             "quarantined": sorted(self.quarantined),
         }
 
@@ -311,52 +308,3 @@ class FleetModel(ControlPlane):
         """Byte-stable SHA-256 of :meth:`snapshot_state` — the
         serial-vs-``--jobs`` comparison key for sharded fleets."""
         return digest(self.snapshot_state())
-
-    # -- lazy hydration --------------------------------------------------------
-
-    def hydrate(self, index, frames=None):
-        """Materialize host ``index`` as a real Fidelius
-        :class:`~repro.system.System` with its resident guests booted.
-
-        The faithful twin is built from the host's deterministic seed;
-        each guest boots from an owner-encrypted image whose payload is
-        a pure function of (guest name, key epoch), so two hydrations
-        of the same model state are identical.  The system is cached
-        until :meth:`dehydrate`; hydration is a diagnostic view and is
-        therefore never part of the model's digest or its pickled state
-        (see ``__getstate__``).
-        """
-        self._check_index(index)
-        host = self.host_records[index]
-        if host.state == RETIRED:
-            raise FleetError("host %d is retired" % index)
-        if index in self._hydrated:
-            return self._hydrated[index]
-        if frames is None:
-            frames = max(2048, 512 + 2 * sum(host.guests.values()))
-        system = System.create(fidelius=True, frames=frames,
-                               seed=host.seed)
-        contexts = {}
-        for name, guest_frames in host.guests.items():
-            guest = self.guests[name]
-            # zlib.crc32, not hash(): str hashes vary per process
-            owner = GuestOwner(
-                seed=(host.seed << 8) ^ (zlib.crc32(name.encode())
-                                         & 0xFFFF))
-            payload = b"FLEET|%s|epoch=%d|" % (name.encode(),
-                                               guest.key_epoch)
-            _domain, ctx = system.boot_protected_guest(
-                name, owner, payload=payload,
-                guest_frames=max(16, min(64, guest_frames)))
-            contexts[name] = ctx
-        self._hydrated[index] = (system, contexts)
-        return system, contexts
-
-    def dehydrate(self, index):
-        """Drop the materialized twin for host ``index``."""
-        return self._hydrated.pop(index, None) is not None
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_hydrated"] = {}
-        return state

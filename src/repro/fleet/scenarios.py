@@ -1,9 +1,9 @@
 """Seed-deterministic scenario drivers over the fleet model.
 
-One :class:`ScenarioSpec` describes a whole campaign — fleet shape,
-placement policy, a live-migration storm, a correlated host-failure
-wave with recovery, autoscaling, rolling fleet-wide key rotation,
-shutdown churn — as a frozen, picklable value.  :func:`drive_region`
+One :class:`ScenarioSpec` describes a whole campaign — fleet shape, a
+live-migration storm, a correlated host-failure wave with recovery,
+autoscaling, rolling fleet-wide key rotation, shutdown churn — as a
+frozen, picklable value.  :func:`drive_region`
 turns one spec into a drained :class:`~repro.fleet.model.FleetModel`
 and a :class:`RegionReport`; it is a module-level function taking only
 picklable arguments precisely so it can ride a
@@ -38,6 +38,14 @@ STORM_SPAN_NS = 1_000_000_000
 RECOVERY_DELAY_NS = 200_000_000
 ROTATE_STEP_NS = 100_000
 
+#: the campaign shape every spec shares: frames per host (scale-ups
+#: too), the inclusive range of guest sizes, how many tags launches
+#: draw from, and how many racks the failure wave picks among
+HOST_FRAMES = 256
+GUEST_FRAMES = (16, 48)
+TAG_COUNT = 8
+FAILURE_GROUPS = 4
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -45,17 +53,11 @@ class ScenarioSpec:
 
     hosts: int = 100
     guests: int = 500
-    host_frames: int = 256
-    guest_frames: tuple = (16, 48)
-    tag_count: int = 8
-    policy: str = "spread"
     seed: int = 0xF1EE7
     regions: int = 1
     region: str = "r0"
     storm_migrations: int = 0
     failure_fraction: float = 0.0
-    failure_groups: int = 4
-    recover: bool = True
     rotate: bool = False
     autoscale_hosts: int = 0
     churn_shutdowns: int = 0
@@ -117,8 +119,8 @@ def schedule_scenario(model, spec):
     """Load every campaign phase onto the model's event queue."""
     rng = random.Random(spec.seed ^ 0x5CEA)
     for index in range(spec.guests):
-        frames = rng.randint(spec.guest_frames[0], spec.guest_frames[1])
-        tag = "tag%d" % rng.randrange(max(1, spec.tag_count))
+        frames = rng.randint(GUEST_FRAMES[0], GUEST_FRAMES[1])
+        tag = "tag%d" % rng.randrange(TAG_COUNT)
         model.queue.schedule(
             rng.randrange(LAUNCH_SPAN_NS),
             Event.of("launch", name=_guest_name(spec, index),
@@ -134,7 +136,7 @@ def schedule_scenario(model, spec):
         for index in range(spec.autoscale_hosts):
             model.queue.schedule(
                 storm_start + rng.randrange(STORM_SPAN_NS // 2),
-                Event.of("scale-up", hosts=1, frames=spec.host_frames))
+                Event.of("scale-up", hosts=1, frames=HOST_FRAMES))
         # ...and the extra hosts are drained and retired afterwards
         for index in range(spec.autoscale_hosts):
             model.queue.schedule(
@@ -148,11 +150,10 @@ def schedule_scenario(model, spec):
             model.queue.schedule(wave_time,
                                  Event.of("host-fail", host=host),
                                  priority=-1)
-            if spec.recover:
-                model.queue.schedule(
-                    wave_time + RECOVERY_DELAY_NS
-                    + rng.randrange(RECOVERY_DELAY_NS),
-                    Event.of("host-recover", host=host))
+            model.queue.schedule(
+                wave_time + RECOVERY_DELAY_NS
+                + rng.randrange(RECOVERY_DELAY_NS),
+                Event.of("host-recover", host=host))
     if spec.rotate:
         rotate_start = storm_start + STORM_SPAN_NS
         for host in range(spec.hosts):
@@ -169,7 +170,7 @@ def _correlated_hosts(spec, rng):
     """The failure wave's victims: whole contiguous racks, so failures
     are correlated the way shared power/top-of-rack faults are."""
     want = max(1, round(spec.hosts * spec.failure_fraction))
-    groups = max(1, min(spec.failure_groups, spec.hosts))
+    groups = max(1, min(FAILURE_GROUPS, spec.hosts))
     rack_size = max(1, spec.hosts // groups)
     racks = list(range(groups))
     rng.shuffle(racks)
@@ -185,8 +186,8 @@ def _correlated_hosts(spec, rng):
 
 def build_region(spec):
     """A populated, scheduled (but not yet run) region model."""
-    model = FleetModel(hosts=spec.hosts, host_frames=spec.host_frames,
-                       seed=spec.seed, policy=spec.policy)
+    model = FleetModel(hosts=spec.hosts, host_frames=HOST_FRAMES,
+                       seed=spec.seed)
     schedule_scenario(model, spec)
     return model
 

@@ -1,10 +1,10 @@
-"""FleetModel semantics: lifecycle, accounting, digests, hydration.
+"""FleetModel semantics: lifecycle, accounting, digests, pickling.
 
 The model is the scale-regime twin of :class:`repro.cloud.Cloud`; these
 tests pin the control-plane semantics the lockstep differential relies
 on (least-loaded placement, quarantine-as-inadmissibility, restart on
-failure) and the honesty mechanisms (byte-stable digests, hydration
-into the faithful simulator).
+failure) and the byte-stable digests that let regions shard and
+pickle.
 """
 
 import pickle
@@ -21,9 +21,8 @@ from repro.fleet.model import (
 )
 
 
-def _model(hosts=3, host_frames=64, policy="spread", seed=7):
-    return FleetModel(hosts=hosts, host_frames=host_frames, seed=seed,
-                      policy=policy)
+def _model(hosts=3, host_frames=64, seed=7):
+    return FleetModel(hosts=hosts, host_frames=host_frames, seed=seed)
 
 
 def _conserved(model):
@@ -78,7 +77,7 @@ class TestGuestLifecycle:
     def test_migrate_moves_and_counts(self):
         model = _model(hosts=2)
         model.launch("g", frames=8)
-        moved = model.migrate("g")     # policy picks, excludes source
+        moved = model.migrate("g")     # the plane picks, excludes source
         assert moved.host == 1
         assert moved.migrations == 1
         assert model.hosts[0].guests == {}
@@ -170,8 +169,7 @@ class TestHostIndexValidation:
         model = _model(hosts=3)
         for call in (model.quarantine_host, model.lift_quarantine,
                      model.fail_host, model.recover_host,
-                     model.retire_host, model.rotate_host_keys,
-                     model.hydrate):
+                     model.retire_host, model.rotate_host_keys):
             for bad in (-1, True, False):
                 with pytest.raises(FleetError, match="no host %r" % bad):
                     call(bad)
@@ -233,41 +231,9 @@ class TestDeterminismAndState:
         assert set(snap) == {"clock_ns", "guests", "hosts", "metrics",
                              "policy", "quarantined"}
 
-    def test_model_pickles_without_hydrated_systems(self):
+    def test_model_pickles_round_trip(self):
         model = _model(hosts=1, host_frames=256)
         model.launch("g", frames=4)
-        model.hydrate(0)
         twin = pickle.loads(pickle.dumps(model))
-        assert twin._hydrated == {}
         assert twin.state_digest() == model.state_digest()
 
-
-class TestHydration:
-    def test_hydrate_boots_residents_on_a_real_system(self):
-        model = _model(hosts=1, host_frames=256)
-        model.launch("web-0", frames=4)
-        model.launch("web-1", frames=4)
-        system, contexts = model.hydrate(0)
-        assert sorted(contexts) == ["web-0", "web-1"]
-        # the twins are live, faithful guests, not stubs
-        assert len(contexts["web-0"].read(0, 16)) == 16
-        # cached until dehydrated
-        assert model.hydrate(0)[0] is system
-        assert model.dehydrate(0) is True
-        assert model.dehydrate(0) is False
-
-    def test_hydrations_of_equal_state_are_equivalent(self):
-        def build():
-            model = _model(hosts=1, host_frames=256, seed=23)
-            model.launch("g", frames=4)
-            model.rotate_host_keys(0)
-            system, contexts = model.hydrate(0)
-            return contexts["g"].read(0, 64)
-
-        assert build() == build()
-
-    def test_retired_host_cannot_hydrate(self):
-        model = _model(hosts=2)
-        model.retire_host(0)
-        with pytest.raises(FleetError):
-            model.hydrate(0)

@@ -7,6 +7,8 @@ shared contract against a 3-host ``Cloud`` and a 3-host spread
 ``FleetModel`` alike, through the plane's own method names.
 """
 
+import re
+
 import pytest
 
 from repro.cloud import Cloud, FleetError
@@ -21,15 +23,15 @@ GUEST_FRAMES = 16
 def plane(request):
     if request.param == "cloud":
         return Cloud(hosts=3, frames=2048, seed=0xC0F0)
-    return FleetModel(hosts=3, host_frames=2048, seed=7, policy="spread")
+    return FleetModel(hosts=3, host_frames=2048, seed=7)
 
 
-def _launch(plane, name, host=None):
+def _launch(plane, name, host=None, frames=GUEST_FRAMES):
     """``plane.launch``; a cloud tenant also needs an owner, and its
     vCPU must yield before another guest's can run."""
     if not isinstance(plane, Cloud):
-        return plane.launch(name, GUEST_FRAMES, host=host)
-    guest = plane.launch(name, GUEST_FRAMES, host=host,
+        return plane.launch(name, frames, host=host)
+    guest = plane.launch(name, frames, host=host,
                          owner=GuestOwner(seed=len(plane.guests) + 1),
                          payload=b"conformance|" + name.encode())
     guest.ctx.hypercall(hc.HC_SCHED_YIELD)
@@ -91,3 +93,20 @@ class TestHostIndices:
         assert plane.quarantined == set()
         assert plane.inventory() == {0: [], 1: ["g"], 2: []}
         assert plane.event_kinds() == []
+
+
+class TestGuestSizes:
+    def test_bad_sizes_are_refused_before_any_hook(self, plane,
+                                                   monkeypatch):
+        def hook(*args, **kwargs):
+            raise AssertionError("a hook ran for a bad guest size")
+
+        for name in ("_attest", "_boot"):
+            monkeypatch.setattr(plane, name, hook)
+        for bad in (0, -16, True, False, 2.5, "16", None):
+            for host in (None, 1):
+                with pytest.raises(FleetError, match=re.escape(
+                        "cannot have %r frames" % (bad,))):
+                    _launch(plane, "g", host=host, frames=bad)
+        assert plane.guests == {}
+        assert [h.free_frames for h in plane.host_records] == [2048] * 3
