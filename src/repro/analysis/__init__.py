@@ -16,13 +16,12 @@ Entry points:
   :class:`~repro.analysis.engine.AnalysisResult`; the test suite runs
   it over the live tree (``tests/analysis/``).
 
-Findings are silenced either inline (``# fidelint: ignore[FID001]``
-with a justification) or by the committed baseline file
-(``fidelint.baseline.json``) for grandfathered debt.
+A finding is accepted only inline, by a ``fidelint: ignore[FIDnnn]``
+comment with its reason on or above the offending line.  A
+suppression that silences nothing is reported, and ``--strict`` fails
+on it.
 """
 
-from repro.analysis.baseline import default_baseline_path, load_baseline, \
-    write_baseline
 from repro.analysis.engine import AnalysisResult, analyze, findings_digest
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.project import ModuleInfo, Project
@@ -30,7 +29,6 @@ from repro.analysis.registry import Rule, all_rules, get_rule, rule
 
 __all__ = [
     "AnalysisResult", "Finding", "ModuleInfo", "Project", "Rule",
-    "Severity", "all_rules", "analyze", "default_baseline_path",
-    "findings_digest", "get_rule", "load_baseline", "rule",
-    "write_baseline",
+    "Severity", "all_rules", "analyze", "findings_digest", "get_rule",
+    "rule",
 ]

@@ -1,7 +1,7 @@
 """The ``fidelint`` command line (also ``python -m repro.analysis``).
 
-Exit codes: 0 clean, 1 findings (errors; plus warnings/stale baseline
-under ``--strict``), 2 usage error.
+Exit codes: 0 clean, 1 findings (errors; plus warnings and unused
+suppressions under ``--strict``), 2 usage error.
 """
 
 import argparse
@@ -11,8 +11,6 @@ import os
 import sys
 import textwrap
 
-from repro.analysis.baseline import default_baseline_path, load_baseline, \
-    write_baseline
 from repro.analysis.engine import analyze, findings_digest
 from repro.analysis.project import Project
 from repro.analysis.registry import all_rules
@@ -49,18 +47,8 @@ def build_parser():
     parser.add_argument("--format", choices=("human", "json"),
                         default="human", help="output format")
     parser.add_argument("--strict", action="store_true",
-                        help="fail on warnings and stale baseline entries "
-                             "too (CI mode)")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline file (default: "
-                             "<repo>/fidelint.baseline.json)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="regenerate the baseline file from every "
-                             "current finding of every rule (stable "
-                             "ordering; stale entries are pruned; not "
-                             "with --select) and exit 0")
+                        help="fail on warnings and on suppressions that "
+                             "silence nothing too (CI mode)")
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(e.g. FID001,FID003)")
@@ -101,36 +89,14 @@ def main(argv=None):
     if args.state_report:
         return _write_state_report(root, args.state_report)
 
-    baseline_path = None
-    if not args.no_baseline:
-        baseline_path = args.baseline or default_baseline_path(root)
-
     select = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
-    if select and args.write_baseline:
-        print("fidelint: error: --write-baseline records every rule's "
-              "findings and cannot be combined with --select",
-              file=sys.stderr)
-        return 2
-
     try:
-        result = analyze(root, baseline_path=None if args.write_baseline
-                         else baseline_path, select=select)
+        result = analyze(root, select=select)
     except ValueError as exc:
         print("fidelint: %s" % exc, file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        path = baseline_path or default_baseline_path(root)
-        previous = load_baseline(path)
-        entries = write_baseline(path, result.findings)
-        current = {entry["fingerprint"] for entry in entries}
-        pruned = sum(1 for fingerprint in previous
-                     if fingerprint not in current)
-        print("fidelint: wrote %d baseline entries to %s (%d stale "
-              "pruned)" % (len(entries), path, pruned))
-        return 0
 
     if args.format == "json":
         payload = result.to_dict()
@@ -193,15 +159,14 @@ def _explain(rule_ids):
 def _render_human(result):
     for finding in result.findings:
         print(finding.render())
-    for entry in result.stale_baseline:
-        print("stale baseline entry: %s in %s (%s) — remove it"
-              % (entry["rule"], entry["module"], entry["fingerprint"]))
+    for entry in result.unused_suppressions:
+        print("%s:%d: unused suppression ignore[%s] silences nothing "
+              "— remove it" % (entry["path"], entry["line"], entry["rule"]))
     print("fidelint: %d modules, %d rules: %d error(s), %d warning(s)"
-          " [%d suppressed, %d baselined, %d stale baseline]"
+          " [%d suppressed, %d unused suppression(s)]"
           % (result.modules_scanned, result.rules_run,
              result.error_count, result.warning_count,
-             len(result.suppressed), len(result.baselined),
-             len(result.stale_baseline)))
+             len(result.suppressed), len(result.unused_suppressions)))
     print("fidelint: findings digest sha256=%s" % findings_digest(result))
 
 

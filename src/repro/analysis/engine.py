@@ -1,16 +1,15 @@
-"""The fidelint engine: load, run rules, fold in suppressions + baseline.
+"""The fidelint engine: load, run rules, fold in suppressions.
 
-Every selected rule runs over every module in sorted order; each raw
-finding gets its line text, suppression flag and occurrence counter
-(the fingerprint disambiguator, keyed per ``(rule, module, line
-text)``), and the stream is then folded through the baseline and
-sorted.
+Every selected rule runs over every module in sorted order; each
+finding is checked against the module's inline suppressions, and each
+suppression that silenced a finding is marked used.  A suppression
+that silenced nothing for a rule that ran, or that names a rule no one
+registered, is *unused*: reported always, and a failure under
+``--strict``, so the audit trail of accepted exceptions cannot rot.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.analysis.baseline import load_baseline
 from repro.analysis.findings import Severity
 from repro.analysis.project import Project
 from repro.analysis.registry import all_rules
@@ -22,8 +21,8 @@ class AnalysisResult:
 
     findings: list = field(default_factory=list)      # active (fail-worthy)
     suppressed: list = field(default_factory=list)    # inline-ignored
-    baselined: list = field(default_factory=list)     # grandfathered
-    stale_baseline: list = field(default_factory=list)  # unmatched entries
+    #: suppressions that silenced nothing, as rule/module/path/line dicts
+    unused_suppressions: list = field(default_factory=list)
     modules_scanned: int = 0
     rules_run: int = 0
 
@@ -39,11 +38,10 @@ class AnalysisResult:
 
     def exit_code(self, strict=False):
         """0 = clean.  Errors always fail; ``--strict`` also fails on
-        warnings and on stale baseline entries (so the baseline cannot
-        rot silently in CI)."""
+        warnings and on unused suppressions."""
         if self.error_count:
             return 1
-        if strict and (self.warning_count or self.stale_baseline):
+        if strict and (self.warning_count or self.unused_suppressions):
             return 1
         return 0
 
@@ -51,13 +49,12 @@ class AnalysisResult:
         return {
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": list(self.stale_baseline),
+            "unused_suppressions": list(self.unused_suppressions),
             "counts": {
                 "error": self.error_count,
                 "warning": self.warning_count,
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
+                "unused_suppressions": len(self.unused_suppressions),
                 "modules": self.modules_scanned,
                 "rules": self.rules_run,
             },
@@ -82,56 +79,58 @@ def _select_rules(rules, select):
     return [r for r in rules if r.rule_id in wanted]
 
 
-def _raw_findings(project, rules):
-    """Raw findings over every module, in deterministic order, with
-    line text, occurrence counter and suppression flag resolved."""
-    raw = []
-    occurrences = Counter()
+def _run_rules(project, rules):
+    """Every finding over every module, in deterministic order, with
+    its suppression flag resolved; plus the ``(module, comment line,
+    rule id)`` of every suppression that silenced one."""
+    findings, used = [], set()
     for name in sorted(project.modules):
         module = project.modules[name]
         for rule_obj in rules:
             for finding in rule_obj.run(module, project):
-                finding.line_text = module.line_text(finding.line)
-                finding.suppressed = module.is_suppressed(
-                    finding.rule_id, finding.line)
-                key = (finding.rule_id, finding.module, finding.line_text)
-                finding.occurrence = occurrences[key]
-                occurrences[key] += 1
-                raw.append(finding)
-    return raw
+                line = module.suppression_line(finding.rule_id, finding.line)
+                finding.suppressed = line is not None
+                if finding.suppressed:
+                    used.add((name, line, finding.rule_id))
+                findings.append(finding)
+    return findings, used
 
 
-def analyze(root, rules=None, baseline_path=None, select=None):
+def _unused_suppressions(project, judged, registered, used):
+    """Suppressions of a rule in ``judged`` that silenced nothing, and
+    those naming no registered rule, which can never silence anything."""
+    unused = []
+    for name in sorted(project.modules):
+        module = project.modules[name]
+        for line, rule_ids in sorted(module.suppressions.items()):
+            for rule_id in sorted(rule_ids):
+                if (rule_id in judged or rule_id not in registered) and \
+                        (name, line, rule_id) not in used:
+                    unused.append({"rule": rule_id, "module": name,
+                                   "path": module.rel_path, "line": line})
+    return unused
+
+
+def analyze(root, select=None):
     """Analyze the tree under ``root`` and return an AnalysisResult.
 
-    ``select`` limits the run to an iterable of rule ids;
-    ``baseline_path`` points at the committed baseline (None = none).
-    A baseline entry is stale only when its rule ran and matched
-    nothing, so a ``select`` run never condemns another rule's entries.
+    ``select`` limits the run to an iterable of rule ids.  A
+    suppression is judged only when its rule ran, so a ``select`` run
+    never condemns another rule's suppressions.
     """
     project = root if isinstance(root, Project) else Project.load(root)
-    rules = _select_rules(all_rules() if rules is None else rules, select)
-    raw = _raw_findings(project, rules)
-
-    baseline = load_baseline(baseline_path)
-    matched_fingerprints = set()
+    registered = all_rules()
+    rules = _select_rules(registered, select)
+    findings, used = _run_rules(project, rules)
     result = AnalysisResult(
-        modules_scanned=len(project.modules), rules_run=len(rules))
-
-    for finding in raw:
+        modules_scanned=len(project.modules), rules_run=len(rules),
+        unused_suppressions=_unused_suppressions(
+            project, {r.rule_id for r in rules},
+            {r.rule_id for r in registered}, used))
+    for finding in findings:
         if finding.suppressed:
             result.suppressed.append(finding)
-        elif finding.fingerprint in baseline:
-            finding.baselined = True
-            matched_fingerprints.add(finding.fingerprint)
-            result.baselined.append(finding)
         else:
             result.findings.append(finding)
-
-    ran = {r.rule_id for r in rules}
-    result.stale_baseline = [
-        entry for fingerprint, entry in sorted(baseline.items())
-        if fingerprint not in matched_fingerprints and entry["rule"] in ran
-    ]
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
     return result

@@ -1,7 +1,6 @@
 """Finding and severity types shared by the fidelint rules and engine."""
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -31,26 +30,7 @@ class Finding:
     path: str            # path relative to the analysis root
     line: int            # 1-based source line
     message: str
-    #: Occurrence index among findings of the same (rule, module, source
-    #: line text); filled by the engine so fingerprints stay unique.
-    occurrence: int = 0
-    #: The stripped text of the offending source line (fingerprint input:
-    #: stable across unrelated insertions that shift line numbers).
-    line_text: str = ""
     suppressed: bool = field(default=False, compare=False)
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def fingerprint(self):
-        """Stable identity used by the baseline file.
-
-        Derived from the rule, the module, the *text* of the offending
-        line and an occurrence counter — not the line number — so a
-        baselined finding survives edits elsewhere in the file.
-        """
-        raw = "%s|%s|%s|%d" % (
-            self.rule_id, self.module, self.line_text, self.occurrence)
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self):
         return {
@@ -61,9 +41,7 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "message": self.message,
-            "fingerprint": self.fingerprint,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     def render(self):

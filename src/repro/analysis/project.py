@@ -9,12 +9,12 @@ unsafe or impossible to import.
 """
 
 import ast
+import io
 import os
 import re
+import tokenize
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*fidelint:\s*ignore(?:\[([A-Za-z0-9_,\s]+)\])?")
-_SKIP_FILE_RE = re.compile(r"#\s*fidelint:\s*skip-file")
+_SUPPRESS_RE = re.compile(r"#\s*fidelint:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
 _COMMENT_LINE_RE = re.compile(r"^\s*(#|$)")
 
 
@@ -28,8 +28,7 @@ class ModuleInfo:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
-        self.skip_file = bool(_SKIP_FILE_RE.search(source[:2048]))
-        #: line number -> set of suppressed rule ids ("*" = all rules)
+        #: comment line number -> the rule ids its suppression names
         self.suppressions = self._parse_suppressions()
 
     @property
@@ -40,44 +39,42 @@ class ModuleInfo:
         parts = self.name.split(".")
         return parts[1] if len(parts) > 1 else ""
 
-    def line_text(self, lineno):
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def _parse_suppressions(self):
+        """``# fidelint: ignore[FIDnnn, ...]`` comments by line.  Only
+        real comments count: the same text inside a string or a
+        docstring is not a suppression.  Tokenizing costs about as much
+        as parsing, so only a module whose text matches pays for it."""
         table = {}
-        for index, line in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(line)
-            if not match:
+        if not _SUPPRESS_RE.search(self.source):
+            return table
+        for token in tokenize.generate_tokens(
+                io.StringIO(self.source).readline):
+            if token.type != tokenize.COMMENT:
                 continue
-            if match.group(1):
-                rules = {r.strip().upper()
-                         for r in match.group(1).split(",") if r.strip()}
-            else:
-                rules = {"*"}
-            table[index] = rules
+            match = _SUPPRESS_RE.search(token.string)
+            if match:
+                table[token.start[0]] = {
+                    r.strip().upper()
+                    for r in match.group(1).split(",") if r.strip()}
         return table
 
-    def is_suppressed(self, rule_id, lineno):
-        """True if ``rule_id`` is suppressed at ``lineno``.
+    def suppression_line(self, rule_id, lineno):
+        """The line of the comment that suppresses ``rule_id`` at
+        ``lineno``, or None.
 
         A suppression comment applies to its own line and, when written
         as a standalone comment (possibly spanning several pure-comment
         lines), to the next statement below it.
         """
-        if self.skip_file:
-            return True
         probe = lineno
         while probe >= 1:
-            rules = self.suppressions.get(probe)
-            if rules and ("*" in rules or rule_id in rules):
-                return True
+            if rule_id in self.suppressions.get(probe, ()):
+                return probe
             probe -= 1
             # keep walking up only across pure comment/blank lines
             if probe < 1 or not _COMMENT_LINE_RE.match(self.lines[probe - 1]):
                 break
-        return False
+        return None
 
     def imported_modules(self):
         """Absolute dotted names this module imports (repro.* only),

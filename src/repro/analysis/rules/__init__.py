@@ -1,6 +1,6 @@
 """Rule modules; importing this package registers every rule.
 
-Rule ids are stable API (baselines and suppressions reference them):
+Rule ids are stable API (suppressions reference them):
 
 FID001 raw-memory        only repro.hw / repro.attacks touch raw frames
 FID002 gate-monopoly     PIT/GIT/NPT/grant mutators called from gates only

@@ -20,7 +20,7 @@ fires when a tainted value reaches either determinism-critical sink:
   an RNG that *pretends* to be seeded is worse than an unseeded one,
   because the differential oracles will trust it;
 * simulation state — a ``self.attr`` store or a module-global
-  container — outside the timing-allowlisted modules.
+  container.
 
 Direct unseeded/wall-clock *calls* stay FID007's findings; FID015 only
 reports flows, so the two rules never double-report one line.
@@ -31,13 +31,6 @@ from repro.analysis.dataflow.effects import (
 from repro.analysis.dataflow.summaries import called_names
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
-
-#: modules whose wall-clock reads are the *point* (unit timeouts,
-#: utilization); their FID007 suppressions document why the readings
-#: never enter modelled results
-TIMING_ALLOWED_MODULES = frozenset({
-    "repro.runner.executor",
-})
 
 
 @rule("FID015", "entropy-flow", Severity.ERROR,
@@ -52,8 +45,6 @@ TIMING_ALLOWED_MODULES = frozenset({
       rng = random.Random(plan.seed_for('tracegen'))
       """)
 def check(module, project):
-    if module.name in TIMING_ALLOWED_MODULES:
-        return
     ctx = project.dataflow
     entropy_names = {qual.split(":")[-1].split(".")[-1]
                      for qual, summary in ctx.effects.items()

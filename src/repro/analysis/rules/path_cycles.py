@@ -13,9 +13,9 @@ hardware work** pass a charge first?
 Approximations, shared with :mod:`repro.analysis.dataflow.charges`:
 loops are assumed to run at least one iteration (zero-trip ``bypass``
 edges are ignored); paths that raise are free; ``len``/``range``-style
-pure queries are not "work".  Methods whose un-priced path is a
-reviewed judgement call live in the allowlist below with the reason —
-the same contract as FID004's allowlist.
+pure queries are not "work".  A method whose un-priced path is a
+reviewed judgement call carries a ``fidelint: ignore[FID012]`` comment
+with the reason, as FID004's exceptions do.
 """
 
 import ast
@@ -24,9 +24,6 @@ from repro.analysis.dataflow import charges
 from repro.analysis.dataflow.summaries import called_names
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
-
-#: "module:Class.method" -> why an un-priced path is acceptable.
-ALLOWLIST = {}
 
 _EXAMPLE = """\
 def flush_root(self, root_pfn):
@@ -49,8 +46,6 @@ def check(module, project):
     ctx = project.dataflow
     for fi in ctx.index.functions_in(module.name):
         if fi.class_name is None or fi.name.startswith("_"):
-            continue
-        if fi.qualname in ALLOWLIST:
             continue
         resolver = ctx.resolver_for(fi)
         if not _in_cycle_model(fi, resolver):

@@ -35,11 +35,16 @@ def cold_boot_against_unencrypted_guest(system):
 def rowhammer_bit_flip(system):
     """Flip bits in the victim's encrypted frame from an adjacent row.
 
-    Fidelius "cannot strictly eradicate this malevolent bit flipping" —
-    but because the memory is encrypted, the flip decrypts to garbage
-    rather than an attacker-chosen value, so it cannot be *exploited*
-    for targeted corruption.  Success here means only 'the data
-    changed'; see the BMT extension for detection."""
+    Fidelius "cannot strictly eradicate this malevolent bit flipping".
+    On SEV hardware the flip garbles the whole 16-byte AES-XEX block,
+    so it does not yield an attacker-chosen value.  The simulated
+    cipher is a keystream XORed over each line and is bit-malleable:
+    the flipped ciphertext bit flips exactly that plaintext bit, so
+    ``detail`` reads 'controlled flip' on the baseline and the Fidelius
+    host alike.  The confidentiality verdicts do not rest on this.
+    Success here means only 'the data changed'; see the BMT extension
+    for detection, and ROADMAP.md's cipher-fidelity item for the block
+    mode."""
     domain, ctx, secret_gfn = make_victim(system)
     ctx.hypercall(hc.HC_SCHED_YIELD)
     hpa = system.hypervisor.guest_frame_hpfn(domain, secret_gfn) * PAGE_SIZE

@@ -30,10 +30,10 @@ UP, FAILED, QUARANTINED, RETIRED = "UP", "FAILED", "QUARANTINED", "RETIRED"
 
 class FleetError(ReproError):
     """A control-plane operation that cannot proceed (no capacity, no
-    admissible host, unknown guest, no such host, a bad guest size).
-    Scenario drivers treat these the way the chaos soak treats a clean
-    ``ReproError``: an accepted, counted outcome — never silent, never
-    fatal to the run."""
+    admissible host, unknown guest, no such host, a bad host or guest
+    size).  Scenario drivers treat these the way the chaos soak treats
+    a clean ``ReproError``: an accepted, counted outcome — never
+    silent, never fatal to the run."""
 
 
 class CapacityIndex:
@@ -79,6 +79,13 @@ class CapacityIndex:
     def ordered(self):
         """Entries in key order — the placement preference order."""
         return self._entries
+
+
+def _is_frame_count(frames):
+    """Whether ``frames`` is a whole number of at least one frame
+    (``True`` is not one, though it is an ``int``)."""
+    return isinstance(frames, int) and not isinstance(frames, bool) and \
+        frames >= 1
 
 
 def spread_key(host):
@@ -128,6 +135,12 @@ class ControlPlane:
         return len(self.host_records)
 
     def add_host(self, frames, seed):
+        """Bring one host of ``frames`` frames into service.  A size
+        that is not a whole number of at least one frame is refused, as
+        :meth:`launch` refuses one for a guest."""
+        if not _is_frame_count(frames):
+            raise FleetError("host %d cannot have %r frames"
+                             % (len(self.host_records), frames))
         host = HostRecord(len(self.host_records), frames, frames,
                           seed=seed)
         self.host_records.append(host)
@@ -269,8 +282,7 @@ class ControlPlane:
         ``boot`` goes to the boot hook.  With ``host=None`` the spread
         rule picks the host.  A size that is not a whole number of at
         least one frame is refused before any hook runs."""
-        if not isinstance(frames, int) or isinstance(frames, bool) or \
-                frames < 1:
+        if not _is_frame_count(frames):
             raise FleetError("guest %r cannot have %r frames"
                              % (name, frames))
         if name in self.guests:

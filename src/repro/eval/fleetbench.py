@@ -54,11 +54,11 @@ DEFAULT_OUTPUT = "BENCH_fleet.json"
 PROFILES = {
     "smoke": ScenarioSpec(
         hosts=200, guests=1_000, regions=4,
-        storm_migrations=100, failure_fraction=0.05, rotate=True,
+        storm_migrations=100, failure_fraction=0.05,
         autoscale_hosts=4, churn_shutdowns=100),
     "full": ScenarioSpec(
         hosts=10_000, guests=50_000, regions=20,
-        storm_migrations=1_000, failure_fraction=0.05, rotate=True,
+        storm_migrations=1_000, failure_fraction=0.05,
         autoscale_hosts=20, churn_shutdowns=1_000),
 }
 
@@ -82,7 +82,7 @@ def _peak_rss_mib():
 
 def _spec_dict(spec):
     """The spec's fields plus the campaign constants every spec shares
-    (a failure wave always recovers)."""
+    (a failure wave always recovers, and every host's keys rotate)."""
     return {
         "hosts": spec.hosts,
         "guests": spec.guests,
@@ -94,7 +94,7 @@ def _spec_dict(spec):
         "failure_fraction": spec.failure_fraction,
         "failure_groups": FAILURE_GROUPS,
         "recover": True,
-        "rotate": spec.rotate,
+        "rotate": True,
         "autoscale_hosts": spec.autoscale_hosts,
         "churn_shutdowns": spec.churn_shutdowns,
     }

@@ -73,24 +73,18 @@ class EventQueue:
     def __len__(self):
         return len(self._heap)
 
-    @property
-    def empty(self):
-        return len(self) == 0
-
     def schedule(self, delay_ns, event, priority=0):
-        """Enqueue ``event`` ``delay_ns`` virtual nanoseconds from now."""
-        if delay_ns < 0:
-            raise FleetError("cannot schedule %r %d ns into the past"
+        """Enqueue ``event`` ``delay_ns`` virtual nanoseconds from now;
+        the delay must be a non-negative ``int`` (not a ``bool``), so
+        the clock stays an exact integer."""
+        if type(delay_ns) is not int or delay_ns < 0:
+            raise FleetError("cannot schedule %r at a delay of %r ns"
                              % (event.kind, delay_ns))
         seq = self._seq
         self._seq += 1
         tie = self._rng.getrandbits(_TIE_BITS)
         heapq.heappush(self._heap,
                        (self.now + delay_ns, priority, tie, seq, event))
-
-    def peek_time(self):
-        """The virtual time of the next event, or None."""
-        return self._heap[0][0] if self._heap else None
 
     def pop(self):
         """``(time_ns, event)`` for the next event, advancing the clock;

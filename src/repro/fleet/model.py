@@ -230,21 +230,14 @@ class FleetModel(ControlPlane):
             self.metrics["rejected"] += 1
             self._record("rejected", event=event.kind, reason=str(exc))
 
-    def run(self, max_events=None, until_ns=None):
-        """Drain the queue (bounded by ``max_events`` / ``until_ns``);
-        returns the number of events processed."""
+    def run(self):
+        """Drain the queue; returns the number of events processed."""
         processed = 0
-        while max_events is None or processed < max_events:
-            if until_ns is not None:
-                head = self.queue.peek_time()
-                if head is None or head > until_ns:
-                    break
-            item = self.queue.pop()
-            if item is None:
-                break
-            _when, event = item
-            self.dispatch(event)
+        item = self.queue.pop()
+        while item is not None:
+            self.dispatch(item[1])
             processed += 1
+            item = self.queue.pop()
         return processed
 
     def _on_launch(self, event):

@@ -58,7 +58,6 @@ class ScenarioSpec:
     region: str = "r0"
     storm_migrations: int = 0
     failure_fraction: float = 0.0
-    rotate: bool = False
     autoscale_hosts: int = 0
     churn_shutdowns: int = 0
 
@@ -154,11 +153,10 @@ def schedule_scenario(model, spec):
                 wave_time + RECOVERY_DELAY_NS
                 + rng.randrange(RECOVERY_DELAY_NS),
                 Event.of("host-recover", host=host))
-    if spec.rotate:
-        rotate_start = storm_start + STORM_SPAN_NS
-        for host in range(spec.hosts):
-            model.queue.schedule(rotate_start + host * ROTATE_STEP_NS,
-                                 Event.of("rotate-host", host=host))
+    rotate_start = storm_start + STORM_SPAN_NS
+    for host in range(spec.hosts):
+        model.queue.schedule(rotate_start + host * ROTATE_STEP_NS,
+                             Event.of("rotate-host", host=host))
     for _ in range(spec.churn_shutdowns):
         victim = _guest_name(spec, rng.randrange(max(1, spec.guests)))
         model.queue.schedule(

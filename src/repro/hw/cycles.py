@@ -16,6 +16,7 @@ class CycleCounter:
         self.by_reason = defaultdict(int)
         self.events = defaultdict(int)
 
+    # fidelint: ignore[FID004] -- the cycle model itself
     def charge(self, cycles, reason="unattributed"):
         if cycles < 0:
             raise ValueError("cannot charge negative cycles")
@@ -23,6 +24,7 @@ class CycleCounter:
         self.by_reason[reason] += cycles
         self.events[reason] += 1
 
+    # fidelint: ignore[FID004] -- the cycle model itself
     def charge_many(self, cycles, reason, count):
         """``count`` identical charges in one call.
 
@@ -50,6 +52,7 @@ class CycleCounter:
         """Cycles elapsed since ``snapshot`` was taken."""
         return self.total - snapshot.total
 
+    # fidelint: ignore[FID004] -- test/benchmark harness control
     def reset(self):
         self.total = 0
         self.by_reason.clear()

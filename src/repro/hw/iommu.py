@@ -39,6 +39,9 @@ class Iommu:
         self.enabled = True
         self.faults = 0
 
+    # fidelint: ignore[FID004] -- fault counting is diagnostics; the walk
+    # itself models an IOTLB hit (device-table walks are not on the paper's
+    # measured paths)
     def translate(self, bus_addr, write):
         """Translate a device access; raises :class:`IommuFault`."""
         if not self.enabled:
@@ -71,6 +74,7 @@ class ProtectedDmaEngine:
         self.iommu = iommu
         self.transfers = 0
 
+    # fidelint: ignore[FID004] -- priced by MemoryController.dma_read
     def read(self, bus_addr, length):
         self.transfers += 1
         out = bytearray()
@@ -84,6 +88,7 @@ class ProtectedDmaEngine:
             remaining -= take
         return bytes(out)
 
+    # fidelint: ignore[FID004] -- priced by MemoryController.dma_write
     def write(self, bus_addr, data):
         self.transfers += 1
         view = memoryview(data)

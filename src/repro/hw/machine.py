@@ -44,6 +44,7 @@ class Machine:
     def frames(self):
         return self.memory.frames
 
+    # fidelint: ignore[FID004] -- boot-time construction is untimed
     def build_host_address_space(self):
         """Boot-time construction of the host direct map (VA == PA).
 

@@ -67,18 +67,17 @@ def test_fid011_catches_exit_moved_off_the_normal_path(tmp_path):
     with open(gates_py, "w", encoding="utf-8") as handle:
         handle.write(source.replace(balanced, seeded))
 
-    syntactic = analyze(root, baseline_path=None,
-                        select=["FID002", "FID004"])
+    syntactic = analyze(root, select=["FID002", "FID004"])
     assert not syntactic.findings, "\n".join(
         f.render() for f in syntactic.findings)
 
-    flow = analyze(root, baseline_path=None, select=["FID011"])
+    flow = analyze(root, select=["FID011"])
     assert [f.module for f in flow.findings] == ["repro.core.gates"]
     assert "cr3-switch" in flow.findings[0].message
 
 
 def test_live_tree_is_clean_under_the_dataflow_rules():
-    result = analyze(os.path.join(REPO_ROOT, "src"), baseline_path=None,
+    result = analyze(os.path.join(REPO_ROOT, "src"),
                      select=["FID010", "FID011", "FID012"])
     assert not result.findings, "\n".join(
         f.render() for f in result.findings)
@@ -99,7 +98,7 @@ def test_fid010_tracks_taint_through_a_helper_call(tmp_path):
             plain = _unwrap(crypto, key, blob)
             wire.send(plain)
         """)
-    result = analyze(root, baseline_path=None, select=["FID010"])
+    result = analyze(root, select=["FID010"])
     assert len(result.findings) == 1
     finding = result.findings[0]
     assert finding.module == "repro.sev.helper_leak"
@@ -116,7 +115,7 @@ def test_fid010_sanctioned_flow_is_clean(tmp_path):
             plain = _unwrap(crypto, key, blob)
             wire.send(crypto.xex_encrypt(wrap_key, b"t", plain))
         """)
-    result = analyze(root, baseline_path=None, select=["FID010"])
+    result = analyze(root, select=["FID010"])
     assert not result.findings, "\n".join(
         f.render() for f in result.findings)
 
@@ -129,7 +128,7 @@ def test_fid010_branch_merges_keep_the_tainted_path(tmp_path):
                 data = crypto.xex_decrypt(key, b"t", blob)
             memory.write(0x1000, data)
         """)
-    result = analyze(root, baseline_path=None, select=["FID010"])
+    result = analyze(root, select=["FID010"])
     assert len(result.findings) == 1
 
 
@@ -140,7 +139,7 @@ def test_fid010_reassignment_kills_taint(tmp_path):
             data = b"ciphertext-placeholder"
             memory.write(0x1000, data)
         """)
-    result = analyze(root, baseline_path=None, select=["FID010"])
+    result = analyze(root, select=["FID010"])
     assert not result.findings
 
 
@@ -155,7 +154,7 @@ def test_fid011_gate_opened_only_in_a_handler(tmp_path):
                 gatekeeper._enter("type3")
                 table.fix()
         """)
-    result = analyze(root, baseline_path=None, select=["FID011"])
+    result = analyze(root, select=["FID011"])
     assert len(result.findings) == 1
     assert "type3" in result.findings[0].message
 
@@ -166,7 +165,7 @@ def test_fid011_with_managed_gate_is_balanced_by_construction(tmp_path):
             with gatekeeper.type1():
                 table.apply(key, value)
         """)
-    result = analyze(root, baseline_path=None, select=["FID011"])
+    result = analyze(root, select=["FID011"])
     assert not result.findings
 
 
@@ -180,7 +179,7 @@ def test_fid011_obligation_passes_through_an_opening_helper(tmp_path):
             _arm(gatekeeper)
             table.apply()
         """)
-    result = analyze(root, baseline_path=None, select=["FID011"])
+    result = analyze(root, select=["FID011"])
     # _arm leaves its gate open by design (summary: opens_gate), so the
     # caller inherits the unmet obligation: one finding per function
     modules = sorted(f.module for f in result.findings)
@@ -198,7 +197,7 @@ def test_fid012_raise_paths_are_free(tmp_path):
                 self.cycles.charge(10, "poke")
                 self._state[key] = 1
         """)
-    result = analyze(root, baseline_path=None, select=["FID012"])
+    result = analyze(root, select=["FID012"])
     assert not result.findings
 
 
@@ -212,7 +211,7 @@ def test_fid012_fast_path_store_without_charge_fires(tmp_path):
                 self.cycles.charge(10, "poke")
                 self._state[key] = 1
         """)
-    result = analyze(root, baseline_path=None, select=["FID012"])
+    result = analyze(root, select=["FID012"])
     assert len(result.findings) == 1
     assert "Dev.poke" in result.findings[0].message
 
@@ -228,20 +227,20 @@ def test_each_module_is_parsed_exactly_once(monkeypatch):
         return real_parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    result = analyze(FIXTURE_ROOT, baseline_path=None)
+    result = analyze(FIXTURE_ROOT)
     assert result.modules_scanned == len(counts)
     assert all(count == 1 for count in counts.values()), counts
 
 
 def test_cfgs_are_built_once_and_shared_across_rules_and_runs():
     project = Project.load(FIXTURE_ROOT)
-    analyze(project, baseline_path=None)
+    analyze(project)
     stats = project.dataflow.stats()
     assert stats["cfg_builds"] > 0
     # the summary fixpoint builds each CFG; the three rules then reuse
     assert stats["cfg_hits"] > 0
 
-    analyze(project, baseline_path=None)
+    analyze(project)
     again = project.dataflow.stats()
     assert again["cfg_builds"] == stats["cfg_builds"]
     assert again["cfg_hits"] > stats["cfg_hits"]
@@ -249,5 +248,5 @@ def test_cfgs_are_built_once_and_shared_across_rules_and_runs():
 
 def test_dataflow_layer_is_lazy_for_syntactic_runs():
     project = Project.load(FIXTURE_ROOT)
-    analyze(project, baseline_path=None, select=["FID006"])
+    analyze(project, select=["FID006"])
     assert project._dataflow is None

@@ -44,7 +44,7 @@ def _make_tree(tmp_path, modules):
 def _entropy_flows(tmp_path, source):
     """FID015's messages on a one-module tree under ``core/``."""
     root = _make_tree(tmp_path, {"core/mod.py": source})
-    result = analyze(root, baseline_path=None, select=["FID015"])
+    result = analyze(root, select=["FID015"])
     return sorted(f.message for f in result.findings)
 
 
@@ -99,7 +99,7 @@ def test_local_named_secrets_is_not_the_secrets_module(tmp_path):
 # ------------------------------------------------- the rules on fixtures
 
 def test_fid014_points_at_the_unregistered_binding():
-    result = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID014"])
+    result = analyze(FIXTURE_ROOT, select=["FID014"])
     (finding,) = result.findings
     assert finding.module == "repro.hw.bad_snapshot_state"
     assert "_TLB_SCRATCH" in finding.message
@@ -107,14 +107,14 @@ def test_fid014_points_at_the_unregistered_binding():
 
 
 def test_fid015_sees_through_alias_and_helper():
-    result = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID015"])
+    result = analyze(FIXTURE_ROOT, select=["FID015"])
     (finding,) = result.findings
     assert finding.module == "repro.core.bad_entropy"
     assert "_boot_entropy" in finding.message
     assert "RNG seed" in finding.message
     # every line of the fixture is clean under the syntactic rule: the
     # flow rule is strictly stronger here
-    syntactic = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID007"])
+    syntactic = analyze(FIXTURE_ROOT, select=["FID007"])
     assert "repro.core.bad_entropy" not in {
         f.module for f in syntactic.findings}
 
@@ -127,14 +127,14 @@ def test_registered_reset_acceptance_on_live_crypto(monkeypatch):
     assert lookup("repro.common.crypto", "_line_cache").reset \
         == "clear_keystream_cache"
     rules = ["FID014"]
-    assert not analyze(SRC_ROOT, baseline_path=None, select=rules).findings
+    assert not analyze(SRC_ROOT, select=rules).findings
 
     from repro.common import state_registry
     stripped = {key: entry for key, entry in state_registry.REGISTRY.items()
                 if key[0] != "repro.common.crypto"}
     monkeypatch.setattr(state_registry, "REGISTRY", stripped)
 
-    broken = analyze(SRC_ROOT, baseline_path=None, select=rules)
+    broken = analyze(SRC_ROOT, select=rules)
     assert {f.module for f in broken.findings} == {"repro.common.crypto"}
     assert all("not in the module-state registry" in f.message
                for f in broken.findings)
@@ -144,8 +144,7 @@ def test_registered_reset_acceptance_on_live_crypto(monkeypatch):
 # ------------------------------------------------------------ live tree
 
 def test_live_tree_is_clean_under_the_effect_rules():
-    result = analyze(SRC_ROOT, baseline_path=None,
-                     select=["FID014", "FID015"])
+    result = analyze(SRC_ROOT, select=["FID014", "FID015"])
     assert not result.findings, "\n".join(
         f.render() for f in result.findings)
 
@@ -187,10 +186,10 @@ def test_fid014_requires_a_reset_on_every_derived_cache(tmp_path,
         monkeypatch.setattr(state_registry, "REGISTRY", {
             entry: state_registry.StateEntry(*entry, "derived-cache", reset,
                                              "memo of a pure function")})
-        result = analyze(root, baseline_path=None, select=["FID014"])
+        result = analyze(root, select=["FID014"])
         assert [f.module for f in result.findings] == fired
     assert "names no reset" in result.findings[0].message
-    assert result.findings[0].line_text == "_MEMO = {}"
+    assert result.findings[0].line == 1      # the ``_MEMO = {}`` binding
 
 
 def test_state_report_cli_artifact(tmp_path, capsys):

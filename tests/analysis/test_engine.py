@@ -1,14 +1,11 @@
-"""Engine mechanics: suppressions, baseline lifecycle, fingerprints, CLI."""
+"""Engine mechanics: suppressions, unused suppressions, CLI."""
 
 import json
 import os
 import shutil
 import textwrap
 
-import pytest
-
 from repro.analysis import analyze
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.cli import main
 
 FIXTURE_ROOT = os.path.join(
@@ -41,9 +38,10 @@ def test_suppression_on_same_line(tmp_path):
         def f(x=[]):  # fidelint: ignore[FID006]
             return x
         """)
-    result = analyze(root, baseline_path=None)
+    result = analyze(root)
     assert not result.findings
     assert [f.rule_id for f in result.suppressed] == ["FID006"]
+    assert not result.unused_suppressions
 
 
 def test_suppression_on_comment_line_above(tmp_path):
@@ -53,19 +51,37 @@ def test_suppression_on_comment_line_above(tmp_path):
         def f(x=[]):
             return x
         """)
-    result = analyze(root, baseline_path=None)
+    result = analyze(root)
     assert not result.findings
     assert len(result.suppressed) == 1
+    assert not result.unused_suppressions
 
 
-def test_bare_ignore_suppresses_all_rules(tmp_path):
+def test_only_the_rule_scoped_form_suppresses(tmp_path):
+    # A bare ignore and a skip-file marker are plain comments.
     root = _make_tree(tmp_path, "mod.py", """\
+        # fidelint: skip-file
         def f(x=[]):  # fidelint: ignore
             return x
         """)
-    result = analyze(root, baseline_path=None)
-    assert not result.findings
-    assert len(result.suppressed) == 1
+    result = analyze(root)
+    assert [f.rule_id for f in result.findings] == ["FID006"]
+    assert not result.suppressed
+    assert not result.unused_suppressions
+
+
+def test_suppression_text_in_a_string_is_not_a_suppression(tmp_path):
+    root = _make_tree(tmp_path, "mod.py", """\
+        \"\"\"Accept a finding: ``# fidelint: ignore[FID001] -- why``.\"\"\"
+
+
+        def f(x=[], note="# fidelint: ignore[FID006]"):
+            return x, note
+        """)
+    result = analyze(root)
+    assert [f.rule_id for f in result.findings] == ["FID006"]
+    assert not result.suppressed
+    assert not result.unused_suppressions
 
 
 def test_wrong_rule_id_does_not_suppress(tmp_path):
@@ -73,20 +89,10 @@ def test_wrong_rule_id_does_not_suppress(tmp_path):
         def f(x=[]):  # fidelint: ignore[FID001]
             return x
         """)
-    result = analyze(root, baseline_path=None)
+    result = analyze(root)
     assert [f.rule_id for f in result.findings] == ["FID006"]
     assert not result.suppressed
-
-
-def test_skip_file_suppresses_whole_module(tmp_path):
-    root = _make_tree(tmp_path, "mod.py", """\
-        # fidelint: skip-file
-        def f(x=[], y={}):
-            return x, y
-        """)
-    result = analyze(root, baseline_path=None)
-    assert not result.findings
-    assert len(result.suppressed) == 2
+    assert [u["rule"] for u in result.unused_suppressions] == ["FID001"]
 
 
 def test_suppression_does_not_leak_across_code_lines(tmp_path):
@@ -100,111 +106,84 @@ def test_suppression_does_not_leak_across_code_lines(tmp_path):
         def f(x=[]):
             return x
         """)
-    result = analyze(root, baseline_path=None)
+    result = analyze(root)
     assert [f.rule_id for f in result.findings] == ["FID006"]
+    assert [u["line"] for u in result.unused_suppressions] == [1]
 
 
-# ------------------------------------------------------------------ baseline
-
-def test_baseline_round_trip_and_stale_detection(tmp_path):
+def test_identical_lines_are_judged_by_their_own_suppressions(tmp_path):
     root = _make_tree(tmp_path, "mod.py", """\
         def f(x=[]):
             return x
+
+
+        # fidelint: ignore[FID006] -- the second copy only
+        def f(x=[]):
+            return x
         """)
-    baseline_path = str(tmp_path / "baseline.json")
+    result = analyze(root)
+    assert [f.line for f in result.findings] == [1]
+    assert [f.line for f in result.suppressed] == [6]
+    assert not result.unused_suppressions
 
-    first = analyze(root, baseline_path=None)
-    assert len(first.findings) == 1
-    entries = write_baseline(baseline_path, first.findings)
-    assert len(entries) == 1
-    assert load_baseline(baseline_path)
 
-    # Same tree + baseline: grandfathered, clean even under --strict.
-    second = analyze(root, baseline_path=baseline_path)
-    assert not second.findings
-    assert len(second.baselined) == 1
-    assert not second.stale_baseline
-    assert second.exit_code(strict=True) == 0
+# ------------------------------------------------------ unused suppressions
 
-    # Fix the violation: the entry goes stale; --strict now fails so the
-    # baseline cannot rot silently, but plain mode still passes.
+def test_unused_suppression_fails_only_under_strict(tmp_path):
+    root = _make_tree(tmp_path, "mod.py", """\
+        # fidelint: ignore[FID006] -- kept for the old call sites
+        def f(x=[]):
+            return x
+        """)
+    used = analyze(root)
+    assert not used.findings
+    assert len(used.suppressed) == 1
+    assert not used.unused_suppressions
+    assert used.exit_code(strict=True) == 0
+
+    # Fix the violation: the comment now silences nothing.  A plain run
+    # reports it and passes; --strict fails, so the accepted exceptions
+    # cannot outlive the code they excuse.
     mod = os.path.join(root, "repro", "mod.py")
     with open(mod, "w", encoding="utf-8") as handle:
-        handle.write("def f(x=None):\n    return x\n")
-    third = analyze(root, baseline_path=baseline_path)
-    assert not third.findings
-    assert not third.baselined
-    assert len(third.stale_baseline) == 1
-    assert third.exit_code(strict=False) == 0
-    assert third.exit_code(strict=True) == 1
-
-
-def test_baseline_is_line_number_independent(tmp_path):
-    root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
-            return x
-        """)
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, analyze(root, baseline_path=None).findings)
-
-    # Shift the offending line down: the fingerprint keys on line *text*,
-    # so the entry still matches.
-    mod = os.path.join(root, "repro", "mod.py")
-    with open(mod, "w", encoding="utf-8") as handle:
-        handle.write("# a new leading comment\n\n\ndef f(x=[]):\n    return x\n")
-    result = analyze(root, baseline_path=baseline_path)
-    assert not result.findings
-    assert len(result.baselined) == 1
-    assert not result.stale_baseline
-
-
-def test_identical_lines_get_distinct_fingerprints(tmp_path):
-    root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
-            return x
-
-
-        def f(x=[]):
-            return x
-        """)
-    result = analyze(root, baseline_path=None)
-    assert len(result.findings) == 2
-    a, b = result.findings
-    assert a.line_text == b.line_text
-    assert {a.occurrence, b.occurrence} == {0, 1}
-    assert a.fingerprint != b.fingerprint
-
-    # Baselining both keeps both matched — occurrence disambiguates.
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, result.findings)
-    again = analyze(root, baseline_path=baseline_path)
-    assert not again.findings
-    assert len(again.baselined) == 2
-    assert not again.stale_baseline
+        handle.write("# fidelint: ignore[FID006] -- kept for the old "
+                     "call sites\ndef f(x=None):\n    return x\n")
+    fixed = analyze(root)
+    assert not fixed.findings
+    assert not fixed.suppressed
+    assert fixed.unused_suppressions == [{
+        "rule": "FID006", "module": "repro.mod",
+        "path": os.path.join("repro", "mod.py"), "line": 1}]
+    assert fixed.exit_code(strict=False) == 0
+    assert fixed.exit_code(strict=True) == 1
 
 
 def test_select_judges_only_the_rules_that_ran(tmp_path):
     root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
+        # fidelint: ignore[FID006] -- kept for the old call sites
+        def f(x=None):
             return x
         """)
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, analyze(root, baseline_path=None).findings)
-
-    # A FID003 run cannot match the FID006 entry, so it must not call it
-    # stale.
-    other = analyze(root, baseline_path=baseline_path, select=["FID003"])
-    assert not other.stale_baseline
+    # A FID003 run cannot use the FID006 suppression, so it must not
+    # call it unused.
+    other = analyze(root, select=["FID003"])
+    assert not other.unused_suppressions
     assert other.exit_code(strict=True) == 0
+    assert len(analyze(root, select=["FID006", "FID003"])
+               .unused_suppressions) == 1
 
-    # Fixed: the entry is stale for every run that includes its rule.
-    mod = os.path.join(root, "repro", "mod.py")
-    with open(mod, "w", encoding="utf-8") as handle:
-        handle.write("def f(x=None):\n    return x\n")
-    assert not analyze(root, baseline_path=baseline_path,
-                       select=["FID003"]).stale_baseline
-    assert len(analyze(root, baseline_path=baseline_path,
-                       select=["FID006", "FID003"]).stale_baseline) == 1
+
+def test_suppression_of_an_unknown_rule_is_always_unused(tmp_path):
+    # FID013 was retired: no run can use its suppression, so every run
+    # reports it, whatever it selects.
+    root = _make_tree(tmp_path, "mod.py", """\
+        X = 1  # fidelint: ignore[FID013,FID999]
+        """)
+    for select in (None, ["FID003"]):
+        result = analyze(root, select=select)
+        assert [u["rule"] for u in result.unused_suppressions] == [
+            "FID013", "FID999"]
+        assert result.exit_code(strict=True) == 1
 
 
 # ----------------------------------------------------------------------- CLI
@@ -220,7 +199,7 @@ def test_cli_list_rules(capsys):
 
 
 def test_cli_json_output_on_fixture_tree(capsys):
-    rc = main(["--root", FIXTURE_ROOT, "--no-baseline", "--format", "json"])
+    rc = main(["--root", FIXTURE_ROOT, "--format", "json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["error"] == 10
@@ -229,27 +208,27 @@ def test_cli_json_output_on_fixture_tree(capsys):
     assert payload["counts"]["modules"] == 22
     rules_seen = {f["rule"] for f in payload["findings"]}
     assert len(rules_seen) == 14
+    assert payload["counts"]["suppressed"] == 0
+    assert not payload["unused_suppressions"]
     # the findings digest travels with the JSON payload
     assert len(payload["digest"]) == 64
 
 
 def test_cli_select_runs_only_requested_rule(capsys):
     # FID006 is a warning: plain mode passes, --strict fails.
-    assert main(["--root", FIXTURE_ROOT, "--no-baseline",
-                 "--select", "FID006"]) == 0
+    assert main(["--root", FIXTURE_ROOT, "--select", "FID006"]) == 0
     out = capsys.readouterr().out
     assert "FID006" in out
     assert "FID001" not in out
-    assert main(["--root", FIXTURE_ROOT, "--no-baseline",
-                 "--select", "FID006", "--strict"]) == 1
+    assert main(["--root", FIXTURE_ROOT, "--select", "FID006",
+                 "--strict"]) == 1
     capsys.readouterr()
 
 
 def test_cli_unknown_rule_id_is_usage_error(capsys):
     # a retired rule id is as unknown as one never issued
     for rule_id in ("FID999", "FID013"):
-        assert main(["--root", FIXTURE_ROOT, "--no-baseline",
-                     "--select", rule_id]) == 2
+        assert main(["--root", FIXTURE_ROOT, "--select", rule_id]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
 
@@ -258,92 +237,27 @@ def test_cli_bad_root_is_usage_error(tmp_path, capsys):
     assert "no 'repro' package" in capsys.readouterr().err
 
 
-def test_cli_write_baseline_then_strict_passes(tmp_path, capsys):
+def test_cli_strict_names_an_unused_suppression(tmp_path, capsys):
     root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
-            return x
+        # fidelint: ignore[FID001] -- nothing below reads a raw frame
+        X = 1
         """)
-    baseline_path = str(tmp_path / "baseline.json")
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--write-baseline"]) == 0
-    assert "wrote 1 baseline entries" in capsys.readouterr().out
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--strict"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_write_baseline_prunes_stale_entries(tmp_path, capsys):
-    root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
-            return x
-        """)
-    baseline_path = str(tmp_path / "baseline.json")
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--write-baseline"]) == 0
-    capsys.readouterr()
-
-    # Fix the violation, regenerate: the old entry must be pruned and
-    # the regeneration must say so.
-    mod = os.path.join(root, "repro", "mod.py")
-    with open(mod, "w", encoding="utf-8") as handle:
-        handle.write("def f(x=None):\n    return x\n")
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--write-baseline"]) == 0
+    assert main(["--root", root]) == 0
+    assert "unused suppression" in capsys.readouterr().out
+    assert main(["--root", root, "--strict"]) == 1
     out = capsys.readouterr().out
-    assert "wrote 0 baseline entries" in out
-    assert "1 stale pruned" in out
-    assert load_baseline(baseline_path) == {}
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--strict"]) == 0
+    assert "%s:1: unused suppression ignore[FID001]" % os.path.join(
+        "repro", "mod.py") in out
+    assert "1 unused suppression(s)" in out
+    # a run that does not include FID001 cannot judge it
+    assert main(["--root", root, "--select", "FID003", "--strict"]) == 0
     capsys.readouterr()
-
-
-def test_cli_write_baseline_refuses_select(tmp_path, capsys):
-    root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
-            return x
-        """)
-    baseline_path = str(tmp_path / "baseline.json")
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--write-baseline"]) == 0
-    with open(baseline_path, "rb") as handle:
-        before = handle.read()
-    capsys.readouterr()
-
-    # A subset of the rules cannot regenerate the whole file: refused
-    # with one line, the file untouched, and a strict run still clean.
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--select", "FID003", "--write-baseline"]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert "error:" in line
-    with open(baseline_path, "rb") as handle:
-        assert handle.read() == before
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--select", "FID003", "--strict"]) == 0
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--strict"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_write_baseline_is_byte_stable(tmp_path, capsys):
-    root = _make_tree(tmp_path, "mod.py", """\
-        def f(x=[]):
-            return x
-
-
-        def g(y={}):
-            return y
-        """)
-    baseline_path = str(tmp_path / "baseline.json")
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--write-baseline"]) == 0
-    with open(baseline_path, "rb") as handle:
-        first = handle.read()
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--write-baseline"]) == 0
-    with open(baseline_path, "rb") as handle:
-        assert handle.read() == first
-    capsys.readouterr()
+    assert main(["--root", root, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["unused_suppressions"] == [{
+        "rule": "FID001", "module": "repro.mod",
+        "path": os.path.join("repro", "mod.py"), "line": 1}]
+    assert payload["counts"]["unused_suppressions"] == 1
 
 
 def test_cli_explain_prints_rationale_and_example(capsys):
@@ -403,22 +317,17 @@ def test_explain_all_covers_every_rule(capsys):
 def _copy_live_tree(tmp_path):
     repo_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    live_src = os.path.join(repo_root, "src")
     root = str(tmp_path / "src")
     shutil.copytree(
-        os.path.join(live_src, "repro"), os.path.join(root, "repro"),
+        os.path.join(repo_root, "src", "repro"), os.path.join(root, "repro"),
         ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-    baseline_src = os.path.join(repo_root, "fidelint.baseline.json")
-    baseline_path = str(tmp_path / "fidelint.baseline.json")
-    shutil.copy(baseline_src, baseline_path)
-    return root, baseline_path
+    return root
 
 
 def test_strict_clean_on_live_copy_then_fails_on_injected_module(
         tmp_path, capsys):
-    root, baseline_path = _copy_live_tree(tmp_path)
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--strict"]) == 0
+    root = _copy_live_tree(tmp_path)
+    assert main(["--root", root, "--strict"]) == 0
     capsys.readouterr()
 
     # Drop one of the fixture bad modules into the tree: strict CI run
@@ -427,19 +336,17 @@ def test_strict_clean_on_live_copy_then_fails_on_injected_module(
     shutil.copy(
         os.path.join(FIXTURE_ROOT, "repro", "xen", "bad_raw_memory.py"),
         os.path.join(root, "repro", "xen", "bad_raw_memory.py"))
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--strict"]) == 1
+    assert main(["--root", root, "--strict"]) == 1
     out = capsys.readouterr().out
     assert "FID001" in out
 
 
 def test_injected_warning_only_fails_under_strict(tmp_path, capsys):
-    root, baseline_path = _copy_live_tree(tmp_path)
+    root = _copy_live_tree(tmp_path)
     shutil.copy(
         os.path.join(FIXTURE_ROOT, "repro", "common",
                      "bad_mutable_default.py"),
         os.path.join(root, "repro", "common", "bad_mutable_default.py"))
-    assert main(["--root", root, "--baseline", baseline_path]) == 0
-    assert main(["--root", root, "--baseline", baseline_path,
-                 "--strict"]) == 1
+    assert main(["--root", root]) == 0
+    assert main(["--root", root, "--strict"]) == 1
     capsys.readouterr()

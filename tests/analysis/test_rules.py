@@ -34,7 +34,7 @@ EXPECTED = {
 
 
 def _fixture_result():
-    return analyze(FIXTURE_ROOT, baseline_path=None)
+    return analyze(FIXTURE_ROOT)
 
 
 def test_fixture_tree_yields_exactly_one_finding_per_rule():
@@ -51,8 +51,7 @@ def test_fixture_tree_yields_exactly_one_finding_per_rule():
         assert findings[0].severity is severity
     assert len(result.findings) == len(EXPECTED)
     assert not result.suppressed
-    assert not result.baselined
-    assert not result.stale_baseline
+    assert not result.unused_suppressions
 
 
 def test_fixture_tree_fails_even_without_strict():
@@ -66,29 +65,35 @@ def test_fixture_tree_fails_even_without_strict():
 
 def test_each_rule_in_isolation_via_select():
     for rule_id, (module, _severity) in EXPECTED.items():
-        result = analyze(FIXTURE_ROOT, baseline_path=None, select=[rule_id])
+        result = analyze(FIXTURE_ROOT, select=[rule_id])
         assert result.rules_run == 1
         assert [f.module for f in result.findings] == [module], rule_id
+
+
+def _source_line(finding):
+    with open(os.path.join(FIXTURE_ROOT, finding.path),
+              encoding="utf-8") as handle:
+        return handle.read().splitlines()[finding.line - 1]
 
 
 def test_findings_carry_line_text_and_render():
     result = _fixture_result()
     for finding in result.findings:
-        assert finding.line_text, finding.rule_id
+        assert _source_line(finding).strip(), finding.rule_id
         rendered = finding.render()
         assert finding.rule_id in rendered
         assert ":%d:" % finding.line in rendered
 
 
 def test_raw_memory_names_the_offending_call():
-    result = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID001"])
+    result = analyze(FIXTURE_ROOT, select=["FID001"])
     (finding,) = result.findings
-    assert "read_frame" in finding.line_text
+    assert "read_frame" in _source_line(finding)
 
 
 def test_opcode_rule_catches_embedded_encoding():
     # The fixture hides the MOV-CR0 encoding inside NOP filler; matching
     # must be substring-based, not whole-literal equality.
-    result = analyze(FIXTURE_ROOT, baseline_path=None, select=["FID008"])
+    result = analyze(FIXTURE_ROOT, select=["FID008"])
     (finding,) = result.findings
     assert finding.module == "repro.xen.bad_opcode"

@@ -74,20 +74,26 @@ class TestOrdering:
         with pytest.raises(FleetError):
             queue.schedule(-1, Event.of("x"))
 
-    def test_len_peek_time_and_empty_track_pending_events(self):
+    def test_non_integer_delays_are_refused(self):
+        # the clock is an exact integer: a float would move it off the
+        # integers, and True would pass as a delay of 1
         queue = EventQueue(seed=0)
-        assert queue.empty and len(queue) == 0
-        assert queue.peek_time() is None
+        for bad in (1.5, True, False, "1", None):
+            with pytest.raises(FleetError, match="delay of"):
+                queue.schedule(bad, Event.of("x"))
+        assert len(queue) == 0 and queue.pop() is None
+        assert queue.now == 0
+
+    def test_len_tracks_pending_events(self):
+        queue = EventQueue(seed=0)
+        assert len(queue) == 0
         queue.schedule(30, Event.of("b"))
         queue.schedule(10, Event.of("a"))
         assert len(queue) == 2
-        assert queue.peek_time() == 10
-        assert not queue.empty
         queue.pop()
         assert len(queue) == 1
-        assert queue.peek_time() == 30
         queue.pop()
-        assert queue.empty and queue.peek_time() is None
+        assert len(queue) == 0
 
 
 class TestSeededTieBreak:

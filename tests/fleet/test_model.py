@@ -158,6 +158,24 @@ class TestHostLifecycle:
         assert len(model) == 2
         assert model.launch("b", frames=8).host == 1
 
+    def test_a_fleet_of_bad_host_sizes_is_refused(self):
+        for bad in (0, -4, True, 2.5, None):
+            with pytest.raises(FleetError, match="host 0 cannot have"):
+                _model(hosts=1, host_frames=bad)
+
+    def test_scale_up_without_a_size_is_one_rejection(self):
+        # spread scans an empty new host first: a sizeless one must
+        # never join the fleet, or the next launch fails on its size
+        model = _model(hosts=1, host_frames=8)
+        model.launch("a", frames=4)
+        model.queue.schedule(0, Event.of("scale-up", hosts=1))
+        model.queue.schedule(1, Event.of("launch", name="b", frames=4))
+        assert model.run() == 2
+        assert model.metrics["rejected"] == 1
+        assert model.metrics["scale_ups"] == 0
+        assert len(model) == 1
+        assert model.guests["b"].host == 0
+
 
 class TestHostIndexValidation:
     """Every host-index entry point goes through the plane's check: an
@@ -203,15 +221,15 @@ class TestEventDispatch:
         with pytest.raises(FleetError):
             _model().dispatch(Event.of("warp-core-breach"))
 
-    def test_run_honors_bounds(self):
+    def test_run_drains_the_queue(self):
         model = _model()
         for index in range(5):
             model.queue.schedule(index * 100,
                                  Event.of("launch", name="g%d" % index,
                                           frames=2))
-        assert model.run(max_events=2) == 2
-        assert model.run(until_ns=300) == 2    # events at 200, 300
-        assert model.run() == 1
+        assert model.run() == 5
+        assert len(model.queue) == 0 and model.queue.now == 400
+        assert model.run() == 0
 
 
 class TestDeterminismAndState:

@@ -21,7 +21,7 @@ from repro.fleet.scenarios import (
 #: autoscale burst, rolling rotation, shutdown churn
 SPEC = ScenarioSpec(hosts=12, guests=60, regions=3,
                     storm_migrations=20, failure_fraction=0.1,
-                    rotate=True, autoscale_hosts=3, churn_shutdowns=10,
+                    autoscale_hosts=3, churn_shutdowns=10,
                     seed=0xBEEF)
 
 

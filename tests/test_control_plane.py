@@ -110,3 +110,12 @@ class TestGuestSizes:
                     _launch(plane, "g", host=host, frames=bad)
         assert plane.guests == {}
         assert [h.free_frames for h in plane.host_records] == [2048] * 3
+
+
+class TestHostSizes:
+    def test_bad_host_sizes_are_refused(self, plane):
+        for bad in (0, -4, True, False, 2.5, "16", None):
+            with pytest.raises(FleetError, match=re.escape(
+                    "host 3 cannot have %r frames" % (bad,))):
+                plane.add_host(bad, seed=99)
+        assert len(plane) == 3
