@@ -57,11 +57,22 @@ def test_suppression_on_comment_line_above(tmp_path):
     assert not result.unused_suppressions
 
 
-def test_only_the_rule_scoped_form_suppresses(tmp_path):
-    # A bare ignore and a skip-file marker are plain comments.
+def test_bare_ignore_is_a_plain_comment(tmp_path):
+    # Only the rule-scoped form suppresses.
+    root = _make_tree(tmp_path, "mod.py", """\
+        def f(x=[]):  # fidelint: ignore
+            return x
+        """)
+    result = analyze(root)
+    assert [f.rule_id for f in result.findings] == ["FID006"]
+    assert not result.suppressed
+    assert not result.unused_suppressions
+
+
+def test_skip_file_is_a_plain_comment(tmp_path):
     root = _make_tree(tmp_path, "mod.py", """\
         # fidelint: skip-file
-        def f(x=[]):  # fidelint: ignore
+        def f(x=[]):
             return x
         """)
     result = analyze(root)
