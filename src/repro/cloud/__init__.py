@@ -83,6 +83,14 @@ class Cloud(ControlPlane):
             for authority in self._authorities
         ]
 
+    def add_host(self, frames, seed):
+        """Refused, leaving the host records as they were: a Cloud's
+        hosts are real Systems built at construction, and a record with
+        no System behind it would send the next launch placed on it to
+        a host that does not exist."""
+        raise FleetError("host %d cannot have %r frames: a Cloud builds "
+                         "every host at construction" % (len(self), frames))
+
     @property
     def tenants(self):
         """{name: :class:`Tenant`} — the plane's guest table."""

@@ -129,7 +129,8 @@ class ControlPlane:
         self.events = deque(maxlen=event_log_limit)
         self.events_recorded = 0
         for seed in seeds:
-            self.add_host(frames, seed)
+            # the plane's own method: a subclass may refuse later hosts
+            ControlPlane.add_host(self, frames, seed)
 
     def __len__(self):
         return len(self.host_records)

@@ -24,8 +24,18 @@ with before runs no modexp; the value is a pure function of the peer
 value and the exponent and the nonce is still hashed in per call, so
 every master secret equals a fresh computation.  The memo is bounded because peer
 values come from the untrusted hypervisor and every launch brings one
-that never recurs, and it dies with the exponent it was derived from
-(``docs/performance.md``, "Key agreement", has the measured saving).
+that never recurs, and it dies with the exponent it was derived from.
+Every exponentiation goes through ``_dh_pow``, which gives a base a
+fixed-base table on its second sighting: the generator and a target
+host's platform value recur on every launch and cost about a fifth of
+a ``pow`` from their tables, while a value seen once, such as a
+launch's scratch platform value, never pays the build.  The tables and
+the sightings hold public values and their powers only, never an
+exponent or a DH value, so unlike the memo they may be module state
+shared by every party; both are bounded LRUs, so a hypervisor relaying
+fresh values cannot grow them, and the built-in ``pow`` stays the
+reference the tests hold the tables to (``docs/performance.md``, "Key
+agreement", has the measured savings).
 
 Fast path vs. reference path
 ----------------------------
@@ -77,6 +87,15 @@ DH_GENERATOR = 2
 #: peers whose DH value one party keeps, least recently used evicted
 #: first (bounded: see the module doc)
 _DH_PEER_MEMO = 16
+#: fixed-base exponentiation: exponent digits of this many bits, one
+#: table row per digit, enough rows for every exponent below the prime
+_DH_WINDOW = 6
+_DH_TABLE_ROWS = -(-DH_PRIME.bit_length() // _DH_WINDOW)
+_DH_TABLE_EXPONENT_LIMIT = 1 << (_DH_WINDOW * _DH_TABLE_ROWS)
+#: bases that keep a table, least recently used evicted first
+_DH_TABLES_MAX = 8
+#: bases sighted once and remembered for a second sighting
+_DH_SEEN_MAX = 64
 
 
 # -- keystream caches (simulator state; secret-bearing, see module doc) ------
@@ -384,6 +403,81 @@ def derive_key(secret, label):
     return h.digest()[:KEY_BYTES]
 
 
+# -- fixed-base DH exponentiation (simulator state; public values only) ------
+
+#: base -> its fixed-base table, least recently used first
+_dh_tables = OrderedDict()
+#: bases sighted once and given no table yet, oldest first
+_dh_seen = OrderedDict()
+
+
+def clear_dh_tables():
+    """Drop every fixed-base table and every remembered sighting."""
+    _dh_tables.clear()
+    _dh_seen.clear()
+
+
+def _fixed_base_table(base):
+    """``base ** (2 ** (_DH_WINDOW * i)) mod DH_PRIME`` for every row i."""
+    table = [base]
+    for _ in range(_DH_TABLE_ROWS - 1):
+        table.append(pow(table[-1], 1 << _DH_WINDOW, DH_PRIME))
+    return table
+
+
+def _fixed_base_pow(table, exponent):
+    """``base ** exponent mod DH_PRIME`` from ``base``'s table, for
+    ``0 <= exponent < _DH_TABLE_EXPONENT_LIMIT`` (Brickell et al.'s
+    fixed-base windowing, HAC Algorithm 14.109).
+
+    Row i enters the result once per unit of the exponent's i-th
+    window digit: walking the digit values d from the largest down,
+    ``running`` gathers every row whose digit is at least d and is
+    multiplied into the result once per d.  About 320 multiplications
+    where the built-in ``pow`` spends about 1,840.
+    """
+    mask = (1 << _DH_WINDOW) - 1
+    rows_by_digit = [[] for _ in range(mask + 1)]
+    for row in table:
+        rows_by_digit[exponent & mask].append(row)
+        exponent >>= _DH_WINDOW
+    result = running = 1
+    for digit in range(mask, 0, -1):
+        for row in rows_by_digit[digit]:
+            running = running * row % DH_PRIME
+        result = result * running % DH_PRIME
+    return result
+
+
+def _dh_pow(base, exponent):
+    """``pow(base, exponent, DH_PRIME)``: every DH exponentiation.
+
+    A base earns a fixed-base table on its second sighting, so the
+    generator and a host's platform value, which recur, are served from
+    a table while a value met once (each launch's scratch platform)
+    never pays the table build.  Both structures hold public values and
+    their powers only, never an exponent, and both are bounded LRUs,
+    so a hypervisor relaying fresh peer values cannot grow them.  An
+    exponent wider than a table goes to ``pow``.
+    """
+    if not 0 <= exponent < _DH_TABLE_EXPONENT_LIMIT:
+        return pow(base, exponent, DH_PRIME)
+    table = _dh_tables.get(base)
+    if table is not None:
+        _dh_tables.move_to_end(base)
+    elif base in _dh_seen:
+        del _dh_seen[base]
+        table = _dh_tables[base] = _fixed_base_table(base)
+        if len(_dh_tables) > _DH_TABLES_MAX:
+            _dh_tables.popitem(last=False)
+    else:
+        _dh_seen[base] = None
+        if len(_dh_seen) > _DH_SEEN_MAX:
+            _dh_seen.popitem(last=False)
+        return pow(base, exponent, DH_PRIME)
+    return _fixed_base_pow(table, exponent)
+
+
 class DiffieHellman:
     """One party of a DH key agreement (guest owner or SEV firmware)."""
 
@@ -394,7 +488,7 @@ class DiffieHellman:
 
     @functools.cached_property
     def public(self):
-        return pow(DH_GENERATOR, self._private, DH_PRIME)
+        return _dh_pow(DH_GENERATOR, self._private)
 
     def shared_secret(self, peer_public, nonce):
         """The master secret ``S_m``: DH(shared) mixed with the guest nonce.
@@ -409,7 +503,7 @@ class DiffieHellman:
             raise SevError("INVALID_CERTIFICATE", "invalid DH public value")
         z = self._shared.get(peer_public)
         if z is None:
-            z = pow(peer_public, self._private, DH_PRIME).to_bytes(
+            z = _dh_pow(peer_public, self._private).to_bytes(
                 (DH_PRIME.bit_length() + 7) // 8, "big")
             self._shared[peer_public] = z
             if len(self._shared) > _DH_PEER_MEMO:

@@ -63,6 +63,14 @@ def _build(entries):
 #: (module, binding, classification, reset callable in that module or
 #:  None, why it is safe) — keep sorted by module then name
 REGISTRY = _build([
+    ("repro.common.crypto", "_dh_seen", "derived-cache",
+     "clear_dh_tables",
+     "bounded LRU of DH bases sighted once; public values only, never "
+     "an exponent; decides when a table is built, never a result"),
+    ("repro.common.crypto", "_dh_tables", "derived-cache",
+     "clear_dh_tables",
+     "bounded LRU of fixed-base tables; pure function of a public DH "
+     "base, so every power equals pow(base, x, DH_PRIME)"),
     ("repro.common.crypto", "_key_invalidations", "counters",
      "clear_keystream_cache",
      "forget_key tally for cache diagnostics; never enters results"),

@@ -9,8 +9,13 @@ Faithful structural properties (paper Sections 2.1, 2.2, 6.1, 6.2):
   address.  Ciphertext replayed at the same physical address decrypts to
   the stale plaintext (the replay attack works at this layer);
   ciphertext moved elsewhere decrypts to garbage.
-* There is **no integrity**: a wrong key or corrupted ciphertext just
-  yields garbage plaintext (Section 8 suggests a Bonsai Merkle Tree).
+* There is **no integrity** (Section 8 suggests a Bonsai Merkle Tree):
+  a wrong key yields garbage plaintext, and corrupted ciphertext is
+  accepted silently.  The line keystream is bit-malleable, so a flipped
+  ciphertext bit flips exactly the matching plaintext bit (the
+  ``rowhammer-bit-flip`` attack's 'controlled flip'), where SEV's
+  16-byte AES blocks would garble the whole block (ROADMAP.md's
+  cipher-fidelity item).
 * The cache holds *plaintext* lines indexed purely by physical address.
   An encrypted read that hits the cache is served the plaintext even if
   the reader's ASID (and hence key) differs — this is the cache channel

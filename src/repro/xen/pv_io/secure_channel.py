@@ -90,8 +90,7 @@ class SecureServer:
 
     def accept(self, hello):
         shared = self._dh.shared_secret(hello.ephemeral_public, hello.nonce)
-        shared_bytes = shared if isinstance(shared, bytes) else bytes(shared)
-        c2s, s2c = _derive_keys(shared_bytes, hello.nonce)
+        c2s, s2c = _derive_keys(shared, hello.nonce)
         self._layer = _RecordLayer(send_key=s2c, recv_key=c2s)
 
     def handle_record(self, record):
@@ -123,8 +122,7 @@ class SecureClient:
         ephemeral = crypto.DiffieHellman(self._rng)
         nonce = bytes(self._rng.getrandbits(8) for _ in range(16))
         shared = ephemeral.shared_secret(self._pinned, nonce)
-        shared_bytes = shared if isinstance(shared, bytes) else bytes(shared)
-        c2s, s2c = _derive_keys(shared_bytes, nonce)
+        c2s, s2c = _derive_keys(shared, nonce)
         self._layer = _RecordLayer(send_key=c2s, recv_key=s2c)
         server.accept(ClientHello(ephemeral.public, nonce))
 

@@ -5,9 +5,9 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.common import crypto
+from repro.common import crypto, state_registry
 from repro.common.errors import SevError
 
 KEY_A = b"A" * 16
@@ -166,6 +166,102 @@ class TestDiffieHellman:
         spent = len(modexps)
         dh.shared_secret(7, b"n")
         assert len(modexps) == spent
+
+
+_P = crypto.DH_PRIME
+_EXPONENT_BITS = crypto._DH_WINDOW * crypto._DH_TABLE_ROWS
+
+
+def _zero_digit_run(start_len):
+    """An exponent with window digits ``[start, start + length)`` zeroed."""
+    exponent, start, length = start_len
+    window = crypto._DH_WINDOW
+    run = ((1 << (window * length)) - 1) << (window * start)
+    return exponent & ~run
+
+
+_EXPONENTS = st.one_of(
+    st.sampled_from([0, 1, 1 << (_EXPONENT_BITS - 1),
+                     (1 << _EXPONENT_BITS) - 1]),
+    st.integers(0, (1 << _EXPONENT_BITS) - 1),
+    st.tuples(st.integers(0, (1 << _EXPONENT_BITS) - 1),
+              st.integers(0, crypto._DH_TABLE_ROWS - 1),
+              st.integers(1, crypto._DH_TABLE_ROWS)).map(_zero_digit_run),
+)
+_BASES = st.one_of(st.sampled_from([2, _P - 2]), st.integers(2, _P - 2))
+
+
+class TestFixedBaseTables:
+    """The fixed-base path against its reference, ``pow``, and the two
+    bounded structures that decide when a base earns a table."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        crypto.clear_dh_tables()
+        yield
+        crypto.clear_dh_tables()
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=_BASES, exponent=_EXPONENTS)
+    def test_property_table_path_equals_pow(self, base, exponent):
+        table = crypto._fixed_base_table(base)
+        assert crypto._fixed_base_pow(table, exponent) == \
+            builtins.pow(base, exponent, _P)
+
+    def test_second_sighting_builds_the_table(self):
+        x = _twin_private(5)
+        assert crypto._dh_pow(7, x) == builtins.pow(7, x, _P)
+        assert list(crypto._dh_seen) == [7]
+        assert not crypto._dh_tables
+        assert crypto._dh_pow(7, x + 1) == builtins.pow(7, x + 1, _P)
+        assert list(crypto._dh_tables) == [7]
+        assert not crypto._dh_seen
+        assert crypto._dh_pow(7, 3) == 343
+
+    def test_exponent_wider_than_a_table_goes_to_pow(self, monkeypatch):
+        crypto._dh_pow(7, 3)
+        crypto._dh_pow(7, 3)
+        monkeypatch.setattr(crypto, "_fixed_base_pow", None)
+        for exponent in (crypto._DH_TABLE_EXPONENT_LIMIT, -1):
+            assert crypto._dh_pow(7, exponent) == \
+                builtins.pow(7, exponent, _P)
+
+    def test_fresh_bases_cannot_grow_either_structure(self):
+        bases = range(1000, 1100)
+        for base in bases:
+            crypto._dh_pow(base, 5)
+        assert len(crypto._dh_seen) == crypto._DH_SEEN_MAX
+        assert not crypto._dh_tables
+        for base in bases:
+            assert crypto._dh_pow(base, 5) == builtins.pow(base, 5, _P)
+            assert crypto._dh_pow(base, 6) == builtins.pow(base, 6, _P)
+        assert list(crypto._dh_tables) == list(bases)[-crypto._DH_TABLES_MAX:]
+        assert len(crypto._dh_seen) <= crypto._DH_SEEN_MAX
+
+    def test_registered_reset_empties_both(self):
+        for _ in range(2):
+            crypto._dh_pow(7, 3)
+        crypto._dh_pow(11, 3)
+        assert crypto._dh_tables and crypto._dh_seen
+        for name in ("_dh_seen", "_dh_tables"):
+            entry = state_registry.lookup("repro.common.crypto", name)
+            assert entry.classification == "derived-cache"
+            getattr(crypto, entry.reset)()
+            assert not getattr(crypto, name)
+
+    def test_no_exponent_or_dh_value_enters_module_state(self):
+        parties = [crypto.DiffieHellman(random.Random(s)) for s in (1, 2, 3)]
+        # every public value is read, so the generator is sighted 3 times
+        peer = [party.public for party in parties][0]
+        for party in parties:
+            party.shared_secret(peer, b"n")
+        held = set(crypto._dh_seen) | set(crypto._dh_tables)
+        for table in crypto._dh_tables.values():
+            held.update(table)
+        assert {crypto.DH_GENERATOR, peer} <= set(crypto._dh_tables)
+        secrets = {party._private for party in parties} | {
+            builtins.pow(peer, party._private, _P) for party in parties}
+        assert not held & secrets
 
 
 class TestMeasurement:

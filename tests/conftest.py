@@ -1,10 +1,8 @@
 """Shared fixtures for the test suite."""
 
-import builtins
-
 import pytest
 
-from repro.common import crypto
+from repro.common import crypto, state_registry
 from repro.hw import Machine
 from repro.sev import SevFirmware
 
@@ -25,13 +23,18 @@ def firmware(machine):
 
 @pytest.fixture
 def modexps(monkeypatch):
-    """Every ``pow`` the crypto module runs (its DH modexps), as argument
-    tuples."""
+    """Every DH exponentiation the crypto module runs, as ``(base,
+    exponent)`` tuples, whether a fixed-base table or ``pow`` serves it.
+    The tables start empty (through their registered reset), so no test
+    sees tables an earlier one left behind."""
+    entry = state_registry.lookup("repro.common.crypto", "_dh_tables")
+    getattr(crypto, entry.reset)()
     calls = []
+    dh_pow = crypto._dh_pow
 
-    def counting_pow(*args):
-        calls.append(args)
-        return builtins.pow(*args)
+    def counting_dh_pow(base, exponent):
+        calls.append((base, exponent))
+        return dh_pow(base, exponent)
 
-    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(crypto, "_dh_pow", counting_dh_pow)
     return calls

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cloud import Cloud
+from repro.cloud import Cloud, FleetError
+from repro.common import crypto
 from repro.common.constants import PAGE_SIZE
 from repro.common.errors import ReproError
 from repro.core import migration
@@ -93,6 +94,19 @@ class TestPlacementAndMobility:
         assert "gone" not in cloud.tenants
         assert tenant.domain.domid not in \
             cloud.host(0).hypervisor.domains
+
+
+class TestFixedHosts:
+    def test_add_host_is_refused_and_changes_nothing(self):
+        cloud = Cloud(hosts=1, frames=2048, seed=1)
+        with pytest.raises(FleetError, match="builds every host"):
+            cloud.add_host(2048, 99)
+        assert len(cloud) == len(cloud.hosts) == len(cloud.capacity_index) == 1
+        for seed, name in enumerate(("a", "b"), 1):
+            tenant = cloud.launch_tenant(name, GuestOwner(seed=seed),
+                                         guest_frames=16)
+            tenant.ctx.hypercall(hc.HC_SCHED_YIELD)
+            assert tenant.host_index == 0
 
 
 class TestInterruptInjection:
@@ -391,3 +405,16 @@ class TestKeyAgreementReuse:
         assert cloud.tenants["dh"].host_index == 0
         for host in cloud.hosts:
             assert check_invariants(host) == []
+
+    def test_tables_serve_exactly_the_bases_that_recur(self, modexps):
+        """The generator and the target host's platform value recur on
+        every launch; each launch's scratch platform value does not."""
+        cloud = Cloud(hosts=2, frames=2048, seed=0xD1FF)
+        for seed, name in enumerate(("a", "b"), 1):
+            tenant = cloud.launch_tenant(
+                name, GuestOwner(seed=seed), payload=self.PAYLOAD,
+                guest_frames=32, host_index=0)
+            tenant.ctx.hypercall(hc.HC_SCHED_YIELD)
+        assert len(modexps) == 2 + 3 + 3
+        assert set(crypto._dh_tables) == {
+            crypto.DH_GENERATOR, cloud.host(0).firmware.platform_public_key}
