@@ -17,17 +17,22 @@ attacks and defences exercise:
 
 Key agreement is classic finite-field Diffie-Hellman over the RFC 3526
 1536-bit MODP group, standing in for the ECDH negotiation between the
-guest owner and the SEV firmware.  Each party computes its public value
-on first read and keeps the DH value of its last ``_DH_PEER_MEMO`` peers
-beside its private exponent, so a firmware meeting a host it has agreed
-with before runs no modexp; the value is a pure function of the peer
-value and the exponent and the nonce is still hashed in per call, so
-every master secret equals a fresh computation.  The memo is bounded because peer
+guest owner and the SEV firmware.  As with the cipher, no claim rests
+on its strength.  Each private exponent is 256 bits, above the 180-240
+bits RFC 3526 section 8 sizes for this group; it is the low 255 bits
+of a draw as wide as the prime with bit 255 set, so every later value
+drawn from the same seeded RNG is unchanged.  Each party computes its
+public value on first read and keeps the DH value of its last
+``_DH_PEER_MEMO`` peers beside its private exponent, so a firmware
+meeting a host it has agreed with before runs no modexp; the value is
+a pure function of the peer value and the exponent and the nonce is
+still hashed in per call, so every master secret equals a fresh
+computation.  The memo is bounded because peer
 values come from the untrusted hypervisor and every launch brings one
 that never recurs, and it dies with the exponent it was derived from.
 Every exponentiation goes through ``_dh_pow``, which gives a base a
 fixed-base table on its second sighting: the generator and a target
-host's platform value recur on every launch and cost about a fifth of
+host's platform value recur on every launch and cost about a quarter of
 a ``pow`` from their tables, while a value seen once, such as a
 launch's scratch platform value, never pays the build.  The tables and
 the sightings hold public values and their powers only, never an
@@ -87,10 +92,13 @@ DH_GENERATOR = 2
 #: peers whose DH value one party keeps, least recently used evicted
 #: first (bounded: see the module doc)
 _DH_PEER_MEMO = 16
+#: width of every private exponent: each lies in [2^255, 2^256), above
+#: RFC 3526 section 8's 180-240 bits for this group
+_DH_EXPONENT_BITS = 256
 #: fixed-base exponentiation: exponent digits of this many bits, one
-#: table row per digit, enough rows for every exponent below the prime
-_DH_WINDOW = 6
-_DH_TABLE_ROWS = -(-DH_PRIME.bit_length() // _DH_WINDOW)
+#: table row per digit, enough rows for every private exponent
+_DH_WINDOW = 4
+_DH_TABLE_ROWS = -(-_DH_EXPONENT_BITS // _DH_WINDOW)
 _DH_TABLE_EXPONENT_LIMIT = 1 << (_DH_WINDOW * _DH_TABLE_ROWS)
 #: bases that keep a table, least recently used evicted first
 _DH_TABLES_MAX = 8
@@ -433,8 +441,9 @@ def _fixed_base_pow(table, exponent):
     Row i enters the result once per unit of the exponent's i-th
     window digit: walking the digit values d from the largest down,
     ``running`` gathers every row whose digit is at least d and is
-    multiplied into the result once per d.  About 320 multiplications
-    where the built-in ``pow`` spends about 1,840.
+    multiplied into the result once per d.  At most 64 + 15 = 79
+    multiplications for a private exponent, where the built-in ``pow``
+    spends about 300.
     """
     mask = (1 << _DH_WINDOW) - 1
     rows_by_digit = [[] for _ in range(mask + 1)]
@@ -482,7 +491,10 @@ class DiffieHellman:
     """One party of a DH key agreement (guest owner or SEV firmware)."""
 
     def __init__(self, rng):
-        self._private = rng.randrange(2, DH_PRIME - 2)
+        # the draw stays as wide as the prime so every later value on
+        # ``rng`` is unchanged; its low bits, top bit set, are the key
+        top = 1 << (_DH_EXPONENT_BITS - 1)
+        self._private = rng.randrange(2, DH_PRIME - 2) & (top - 1) | top
         #: peer public value -> DH value bytes, least recent first
         self._shared = OrderedDict()
 

@@ -528,9 +528,10 @@ class Fidelius:
     def _on_domain_destroyed(self, domain):
         if not self.installed:
             return
-        self.git.remove_for_domain(domain.domid)
         if domain not in self.protected_domains:
+            self.git.remove_for_domain(domain.domid)
             return
+        # shutdown_guest sweeps the GIT for a protected domain
         self._dying_protected.add(domain.domid)
         self.shutdown_guest(domain)
 

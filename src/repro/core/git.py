@@ -92,10 +92,21 @@ class GrantInfoTable:
     def read(self, index):
         return GitEntry.unpack(self._memory.read(self._entry_pa(index), ENTRY_SIZE))
 
+    def slots(self):
+        """``(index, entry or None)`` for every slot in index order, each
+        table frame read from DRAM in one piece when the walk reaches
+        it.  A caller may rewrite a slot the walk has passed."""
+        index = 0
+        for pfn in self._frames:
+            raw = self._memory.read(frame_addr(pfn), PAGE_SIZE)
+            for offset in range(0, PAGE_SIZE, ENTRY_SIZE):
+                yield index, GitEntry.unpack(raw[offset:offset + ENTRY_SIZE])
+                index += 1
+
     def record(self, entry):
         """Store a declaration (Fidelius-context write); returns its index."""
-        for index in range(self.capacity):
-            if self.read(index) is None:
+        for index, held in self.slots():
+            if held is None:
                 self._memory.write(self._entry_pa(index), entry.pack())
                 return index
         raise ReproError("GIT full")
@@ -105,8 +116,7 @@ class GrantInfoTable:
 
     def remove_for_domain(self, domid):
         removed = 0
-        for index in range(self.capacity):
-            entry = self.read(index)
+        for index, entry in self.slots():
             if entry and (entry.initiator_domid == domid
                           or entry.target_domid == domid):
                 self.remove(index)
@@ -114,12 +124,8 @@ class GrantInfoTable:
         return removed
 
     def entries_for(self, initiator_domid):
-        out = []
-        for index in range(self.capacity):
-            entry = self.read(index)
-            if entry and entry.initiator_domid == initiator_domid:
-                out.append(entry)
-        return out
+        return [entry for _, entry in self.slots()
+                if entry and entry.initiator_domid == initiator_domid]
 
     def find_match(self, initiator_domid, target_domid, gfn):
         """The declaration covering (initiator, target, gfn), if any."""

@@ -109,8 +109,7 @@ def _check_git_liveness(system):
     fid = system.fidelius
     domains = system.hypervisor.domains
     out = []
-    for index in range(fid.git.capacity):
-        entry = fid.git.read(index)
+    for index, entry in fid.git.slots():
         if entry is None:
             continue
         for domid in (entry.initiator_domid, entry.target_domid):

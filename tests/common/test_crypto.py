@@ -74,8 +74,10 @@ class TestKeyWrap:
 
 
 def _twin_private(seed):
-    """The private exponent a ``DiffieHellman(Random(seed))`` draws."""
-    return random.Random(seed).randrange(2, crypto.DH_PRIME - 2)
+    """The private exponent a ``DiffieHellman(Random(seed))`` derives:
+    the low 255 bits of its draw over the prime's range, bit 255 set."""
+    draw = random.Random(seed).randrange(2, crypto.DH_PRIME - 2)
+    return draw % 2 ** 255 + 2 ** 255
 
 
 def _master(peer, private, nonce):
@@ -130,6 +132,12 @@ class TestDiffieHellman:
         twin.randrange(2, crypto.DH_PRIME - 2)
         assert rng.getstate() == twin.getstate()
         assert modexps == []
+
+    def test_private_exponent_is_256_bits_of_the_draw(self):
+        for seed in range(200):
+            private = crypto.DiffieHellman(random.Random(seed))._private
+            assert 2 ** 255 <= private < 2 ** 256
+            assert private == _twin_private(seed)
 
     def test_public_costs_one_modexp_however_often_read(self, modexps):
         dh = crypto.DiffieHellman(random.Random(5))
@@ -207,6 +215,10 @@ class TestFixedBaseTables:
         table = crypto._fixed_base_table(base)
         assert crypto._fixed_base_pow(table, exponent) == \
             builtins.pow(base, exponent, _P)
+
+    def test_every_private_exponent_fits_a_table(self):
+        assert 1 << crypto._DH_EXPONENT_BITS <= \
+            crypto._DH_TABLE_EXPONENT_LIMIT
 
     def test_second_sighting_builds_the_table(self):
         x = _twin_private(5)

@@ -112,6 +112,34 @@ class TestShutdown:
         assert domain not in system.fidelius.protected_domains
         assert "domain-shutdown" in system.fidelius.audit_kinds()
 
+    def test_each_destroyed_domain_is_swept_from_the_git_once(
+            self, system, protected_guest, monkeypatch):
+        """The destroy hook sweeps an unprotected domain; a protected
+        one is swept by ``shutdown_guest`` alone."""
+        from repro.xen import hypercalls as hc
+        domain, ctx = protected_guest
+        peer, _ = system.create_plain_guest("peer", guest_frames=16)
+        git = system.fidelius.git
+        sweeps = []
+        sweep = git.remove_for_domain
+
+        def counting_sweep(domid):
+            sweeps.append(domid)
+            return sweep(domid)
+
+        monkeypatch.setattr(git, "remove_for_domain", counting_sweep)
+        assert ctx.hypercall(hc.HC_PRE_SHARING, peer.domid, 4, 1, 0) \
+            == hc.E_OK
+        ctx.hypercall(hc.HC_SCHED_YIELD)
+        system.hypervisor.destroy_domain(peer)
+        assert sweeps == [peer.domid]
+        assert git.entries_for(domain.domid) == []
+        assert ctx.hypercall(hc.HC_PRE_SHARING, 0, 4, 1, 0) == hc.E_OK
+        ctx.hypercall(hc.HC_SCHED_YIELD)
+        system.hypervisor.destroy_domain(domain)
+        assert sweeps == [peer.domid, domain.domid]
+        assert all(entry is None for _, entry in git.slots())
+
     def test_pit_entries_invalidated(self, system, protected_guest):
         domain, ctx = protected_guest
         from repro.xen import hypercalls as hc

@@ -1,9 +1,11 @@
 """Tests for the page information table and grant information table."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.common.types import Owner, PageUsage
+from repro.common.constants import PAGE_SIZE
+from repro.common.errors import ReproError
+from repro.common.types import Owner, PageUsage, frame_addr
 from repro.core.git import GitEntry, GrantInfoTable
 from repro.core.pit import FREE_ENTRY, PageInfoTable, PitEntry
 from repro.hw import Machine
@@ -140,3 +142,98 @@ class TestGrantInfoTable:
         index = git.record(self._entry())
         git.remove(index)
         assert git.record(self._entry(first_gfn=99)) == index
+
+
+# -- the GIT's frame walk against a per-slot loop over ``read(index)`` -------
+
+def _reference_record(git, entry):
+    for index in range(git.capacity):
+        if git.read(index) is None:
+            git._memory.write(git._entry_pa(index), entry.pack())
+            return index
+    raise ReproError("GIT full")
+
+
+def _reference_remove_for_domain(git, domid):
+    removed = 0
+    for index in range(git.capacity):
+        entry = git.read(index)
+        if entry and domid in (entry.initiator_domid, entry.target_domid):
+            git.remove(index)
+            removed += 1
+    return removed
+
+
+def _reference_entries_for(git, initiator_domid):
+    out = []
+    for index in range(git.capacity):
+        entry = git.read(index)
+        if entry and entry.initiator_domid == initiator_domid:
+            out.append(entry)
+    return out
+
+
+def _reference_find_match(git, initiator_domid, target_domid, gfn):
+    for entry in _reference_entries_for(git, initiator_domid):
+        if entry.target_domid == target_domid and entry.covers(gfn):
+            return entry
+    return None
+
+
+def _table_bytes(git):
+    return [git._memory.read(frame_addr(pfn), PAGE_SIZE)
+            for pfn in git._frames]
+
+
+def _git_pair():
+    tables = []
+    for _ in range(2):
+        machine = Machine(frames=64, seed=3)
+        tables.append(GrantInfoTable(machine, machine.allocator.alloc))
+    return tables
+
+
+_DOMIDS = st.integers(0, 3)
+_DECLARATIONS = st.builds(
+    GitEntry, initiator_domid=_DOMIDS, target_domid=_DOMIDS,
+    first_gfn=st.integers(0, 12), nframes=st.integers(1, 6),
+    readonly=st.booleans())
+_GIT_OPS = st.lists(st.one_of(
+    # a burst of copies, so the second frame and a full table are reached
+    st.tuples(st.just("record"), _DECLARATIONS, st.integers(1, 90)),
+    st.tuples(st.just("remove_for_domain"), _DOMIDS),
+    st.tuples(st.just("remove"), st.integers(0, 255)),
+), max_size=10)
+
+
+class TestGitFrameWalk:
+    @settings(max_examples=25, deadline=None)
+    @given(ops=_GIT_OPS)
+    def test_property_scans_equal_the_per_slot_loop(self, ops):
+        git, reference = _git_pair()
+        for op in ops:
+            if op[0] == "record":
+                for _ in range(op[2]):
+                    try:
+                        expected = _reference_record(reference, op[1])
+                    except ReproError:
+                        with pytest.raises(ReproError, match="GIT full"):
+                            git.record(op[1])
+                        break
+                    assert git.record(op[1]) == expected
+            elif op[0] == "remove_for_domain":
+                assert git.remove_for_domain(op[1]) == \
+                    _reference_remove_for_domain(reference, op[1])
+            else:
+                git.remove(op[1])
+                reference.remove(op[1])
+            assert _table_bytes(git) == _table_bytes(reference)
+            for initiator in range(4):
+                assert git.entries_for(initiator) == \
+                    _reference_entries_for(reference, initiator)
+                for target, gfn in ((0, 0), (1, 5), (2, 12), (3, 17)):
+                    assert git.find_match(initiator, target, gfn) == \
+                        _reference_find_match(reference, initiator,
+                                              target, gfn)
+        assert [entry for _, entry in git.slots()] == \
+            [reference.read(index) for index in range(reference.capacity)]
