@@ -33,7 +33,7 @@ from repro.common.constants import (
     PTE_PRESENT,
     TLB_ENTRY_FLUSH_CYCLES,
 )
-from repro.common.errors import GateViolation
+from repro.common.errors import GateViolation, PolicyViolation
 from repro.common.types import PrivOp
 from repro.hw.pagetable import make_entry
 
@@ -102,15 +102,15 @@ class GateKeeper:
     def guarded_write(self, va, data):
         """The gated write path installed as the hypervisor's
         ``word_writer``: policy first, then the write with WP clear."""
-        from repro.common.errors import PolicyViolation
         with self.type1():
+            data = bytes(data)
             try:
-                self._fid.write_policy.check(va, bytes(data))
+                self._fid.write_policy.check(va, data)
             except PolicyViolation as exc:
                 self._fid.audit_event("denied", policy=exc.policy,
                                       detail=str(exc), va=va)
                 raise
-            self._cpu.store(va, bytes(data))
+            self._cpu.store(va, data)
             self._machine.cycles.charge(CACHE_WRITE_CYCLES, "gate1-write")
 
     # -- type 2: checking loops --------------------------------------------------------

@@ -28,11 +28,16 @@ from repro.common.constants import (
     EFER_SVME,
     HOST_ASID,
     MSR_EFER,
+    PAGE_SHIFT,
+    PAGE_SIZE,
     TLB_MISS_WALK_CYCLES,
 )
 from repro.common.errors import GateViolation, PageFault, ReproError
 from repro.common.types import Access, CpuMode, PRIV_OPCODES, PrivOp
 from repro.hw.pagetable import PageTableWalker
+
+#: the access every instruction fetch checks (``Access`` is immutable)
+_FETCH = Access.fetch()
 
 GPR_NAMES = (
     "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
@@ -136,7 +141,9 @@ class Cpu:
     # -- host-mode virtual memory access ------------------------------------------
 
     def _translate(self, va, access):
-        vpn = va >> 12
+        """``(pa, c_bit)`` of ``va`` in the current address space, after
+        the access check; raises the hardware's :class:`PageFault`."""
+        vpn = va >> PAGE_SHIFT
         translation = self.tlb.lookup(self.cr3_root, vpn)
         if translation is None:
             self.cycles.charge(TLB_MISS_WALK_CYCLES, "pt-walk")
@@ -152,59 +159,64 @@ class Cpu:
             smep=self.smep_enabled,
             nxe=self.nxe_enabled,
         )
-        page_pa = translation.pa & ~0xFFF
-        return type(translation)(
-            page_pa | (va & 0xFFF), translation.writable,
-            translation.user, translation.nx, translation.c_bit,
-        )
+        return ((translation.pa & ~(PAGE_SIZE - 1)) | (va & (PAGE_SIZE - 1)),
+                translation.c_bit)
 
     def load(self, va, length, user=False):
         """Host-mode virtual read through the current address space."""
         try:
-            translation = self._translate(va, Access(user=user))
+            pa, c_bit = self._translate(va, Access(user=user))
         except PageFault as fault:
             if self.fault_handler and self.fault_handler(fault, ("read", va, length)):
                 return bytes(length)
             raise
-        return self.memctrl.read(
-            translation.pa, length, c_bit=translation.c_bit, asid=self.current_asid
-        )
+        return self.memctrl.read(pa, length, c_bit=c_bit, asid=self.current_asid)
 
     def store(self, va, data, user=False):
         """Host-mode virtual write through the current address space."""
         try:
-            translation = self._translate(va, Access(write=True, user=user))
+            pa, c_bit = self._translate(va, Access(write=True, user=user))
         except PageFault as fault:
             if self.fault_handler and self.fault_handler(fault, ("write", va, bytes(data))):
                 return
             raise
-        self.memctrl.write(
-            translation.pa, data, c_bit=translation.c_bit, asid=self.current_asid
-        )
+        self.memctrl.write(pa, data, c_bit=c_bit, asid=self.current_asid)
 
     def store_u64(self, va, value):
         self.store(va, (value & (2 ** 64 - 1)).to_bytes(8, "little"))
 
     def _fetch(self, va, length):
-        """Instruction fetch: byte-by-byte so page-crossing works.
+        """Instruction fetch: one translation per page the bytes span.
 
-        Fetches hit the instruction cache in any realistic run of the
-        gate paths, so they charge no DRAM latency; the permission check
-        per byte is what matters architecturally.
+        Each page is translated and checked at its first byte, so a
+        fetch that straddles into a page it may not execute faults at
+        that page's first byte, as a byte-by-byte fetch would.  The
+        page's later bytes are TLB hits on the entry just filled or
+        refreshed, and are counted as such.  Fetches hit the instruction
+        cache in any realistic run of the gate paths, so a plain page
+        charges no DRAM latency; a C-bit page's bytes are decrypted by
+        the memory controller one at a time, each read charged.
         """
-        out = bytearray()
-        for i in range(length):
-            translation = self._translate(va + i, Access.fetch())
-            byte = self.memctrl.memory.read(translation.pa, 1)
-            if translation.c_bit:
-                byte = self.memctrl.read(translation.pa, 1,
-                                         c_bit=True, asid=self.current_asid)
-            out.extend(byte)
-        return bytes(out)
+        out = b""
+        end = va + length
+        while va < end:
+            take = min(end - va, PAGE_SIZE - (va & (PAGE_SIZE - 1)))
+            pa, c_bit = self._translate(va, _FETCH)
+            if c_bit:
+                read = self.memctrl.read
+                asid = self.current_asid
+                out += b"".join([read(pa + i, 1, c_bit=True, asid=asid)
+                                 for i in range(take)])
+            else:
+                out += self.memctrl.memory.read(pa, take)
+            if take > 1:
+                self.tlb.lookup(self.cr3_root, va >> PAGE_SHIFT, take - 1)
+            va += take
+        return out
 
     def can_fetch(self, va):
         try:
-            self._translate(va, Access.fetch())
+            self._translate(va, _FETCH)
             return True
         except PageFault:
             return False
@@ -236,7 +248,7 @@ class Cpu:
             # continue (the paper's end-of-page placement subtlety).
             next_va = rip + len(opcode)
             try:
-                self._translate(next_va, Access.fetch())
+                self._translate(next_va, _FETCH)
             except PageFault:
                 self._restore_priv_state(op, old)
                 raise PageFault(

@@ -195,29 +195,38 @@ class PageTableWalker:
 
     # -- construction and edits ------------------------------------------------
 
-    def map(self, root_pfn, va, pfn, flags):
+    def map(self, root_pfn, va, pfn, flags, leaves=None):
         """Install a leaf mapping, allocating intermediate tables as needed.
 
         Returns the list of newly allocated page-table-page PFNs so the
         caller (boot code or Fidelius) can classify them in the PIT.
+
+        ``leaves``, as for :meth:`leaf_run`, is a dict the caller keeps
+        across calls so that each leaf table is located once; the caller
+        must drop it whenever the upper levels may have changed.
         """
         new_tables = []
-        table_pfn = root_pfn
-        for level in range(PT_LEVELS, 1, -1):
-            entry_pa = frame_addr(table_pfn) + _index(va, level) * PTE_SIZE
-            entry = self._read_u64(entry_pa)
-            if not entry & PTE_PRESENT:
-                if self._alloc_frame is None:
-                    raise PageFault(va, message="no allocator to grow tables")
-                child = self._alloc_frame()
-                self._memory.zero_frame(child)
-                new_tables.append((level - 1, child))
-                self._write_word(
-                    entry_pa, make_entry(child, PTE_PRESENT | PTE_WRITABLE | PTE_USER)
-                )
-                table_pfn = child
-            else:
-                table_pfn = entry_pfn(entry)
+        region = va >> _LEAF_REGION_SHIFT
+        table_pfn = None if leaves is None else leaves.get(region)
+        if table_pfn is None:
+            table_pfn = root_pfn
+            for level in range(PT_LEVELS, 1, -1):
+                entry_pa = frame_addr(table_pfn) + _index(va, level) * PTE_SIZE
+                entry = self._read_u64(entry_pa)
+                if not entry & PTE_PRESENT:
+                    if self._alloc_frame is None:
+                        raise PageFault(va, message="no allocator to grow tables")
+                    child = self._alloc_frame()
+                    self._memory.zero_frame(child)
+                    new_tables.append((level - 1, child))
+                    self._write_word(
+                        entry_pa,
+                        make_entry(child, PTE_PRESENT | PTE_WRITABLE | PTE_USER))
+                    table_pfn = child
+                else:
+                    table_pfn = entry_pfn(entry)
+            if leaves is not None:
+                leaves[region] = table_pfn
         leaf_pa = frame_addr(table_pfn) + _index(va, 1) * PTE_SIZE
         self._write_word(leaf_pa, make_entry(pfn, flags | PTE_PRESENT))
         return new_tables

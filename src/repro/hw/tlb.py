@@ -64,19 +64,24 @@ class Tlb:
         return self._epochs.get(root_pfn, 0)
 
     # fidelint: ignore[FID004] -- priced by the charging page-table walk
-    def lookup(self, root_pfn, vpn):
+    def lookup(self, root_pfn, vpn, count=1):
+        """The cached translation of ``vpn`` under ``root_pfn``, or None.
+
+        ``count`` stands for that many back-to-back lookups of the one
+        entry (the bytes of one page an instruction fetch reads): they
+        all hit or all miss, and each is counted."""
         key = (root_pfn, vpn)
         entry = self._entries.get(key)
         if entry is not None:
             epoch, translation = entry
             if epoch == self._epochs.get(root_pfn, 0):
-                self.hits += 1
+                self.hits += count
                 self._entries.move_to_end(key)
                 return translation
             # Stale: flushed under a previous epoch.  Reclaim now; the
             # live count was already zeroed at flush time.
             del self._entries[key]
-        self.misses += 1
+        self.misses += count
         return None
 
     # fidelint: ignore[FID004] -- priced by the charging page-table walk

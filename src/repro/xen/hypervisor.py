@@ -27,11 +27,14 @@ from repro.common.constants import (
     MSR_EFER,
     NPT_FILL_CYCLES,
     PAGE_SIZE,
+    PTE_C_BIT,
     PTE_NX,
+    PTE_PRESENT,
+    PTE_USER,
     PTE_WRITABLE,
     VMEXIT_ROUNDTRIP_CYCLES,
 )
-from repro.common.errors import XenError
+from repro.common.errors import ReproError, XenError
 from repro.common.types import ExitReason, PrivOp, frame_addr, pfn_of
 from repro.hw.pagetable import PageTableWalker
 from repro.xen import hypercalls as hc
@@ -53,6 +56,16 @@ HOOK_EVENTS = (
     "grant_table_created",
     "domain_destroyed",
 )
+
+
+def _npt_leaf_flags(writable, c_bit):
+    """The flags of an NPT leaf entry the hypervisor installs."""
+    flags = PTE_PRESENT | PTE_USER
+    if writable:
+        flags |= PTE_WRITABLE
+    if c_bit:
+        flags |= PTE_C_BIT
+    return flags
 
 
 class _NptTableAllocator:
@@ -190,7 +203,9 @@ class Hypervisor:
         """Create a domain; with ``sev`` a fresh ASID is assigned.
 
         The NPT is prepopulated in a batch unless ``lazy_npt`` is set —
-        the behaviour Section 4.3.4 leans on for performance.
+        the behaviour Section 4.3.4 leans on for performance.  A
+        population that fails (no free frame, a denied gated write)
+        destroys the domain before the error propagates.
         """
         domid = self._next_domid
         self._next_domid += 1
@@ -212,8 +227,21 @@ class Hypervisor:
         self.domains[domid] = domain
         self._fire("domain_created", domain)
         if not self.lazy_npt:
-            for gfn in range(guest_frames):
-                self._populate_gfn(domain, gfn)
+            # _populate_gfn per gfn, with one walker and each leaf table
+            # located once: the same frames, hooks and gated writes
+            walker = self._software_npt_walker(domain)
+            flags = _npt_leaf_flags(writable=True, c_bit=False)
+            leaves = {}
+            try:
+                for gfn in range(guest_frames):
+                    hpfn = self.alloc_guest_frame(domain)
+                    walker.map(domain.npt.root_pfn, gfn * PAGE_SIZE, hpfn,
+                               flags, leaves=leaves)
+            except ReproError:
+                # fail closed: out of frames or a denied write must not
+                # leave a half-built domain holding what it took
+                self.destroy_domain(domain)
+                raise
         return domain
 
     # -- IOMMU (extension) -------------------------------------------------------
@@ -302,16 +330,9 @@ class Hypervisor:
 
     def fill_npt(self, domain, gfn, hpfn, writable=True, c_bit=False):
         """Install GPA->HPA through the software (gated) write path."""
-        from repro.common.constants import (
-            PTE_C_BIT, PTE_PRESENT, PTE_USER, PTE_WRITABLE as W,
-        )
-        flags = PTE_PRESENT | PTE_USER
-        if writable:
-            flags |= W
-        if c_bit:
-            flags |= PTE_C_BIT
         walker = self._software_npt_walker(domain)
-        walker.map(domain.npt.root_pfn, gfn * PAGE_SIZE, hpfn, flags)
+        walker.map(domain.npt.root_pfn, gfn * PAGE_SIZE, hpfn,
+                   _npt_leaf_flags(writable, c_bit))
 
     def set_npt_flags(self, domain, gfn, set_mask=0, clear_mask=0):
         entry_pa = domain.npt.entry_pa(gfn * PAGE_SIZE)

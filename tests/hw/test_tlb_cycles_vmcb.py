@@ -17,6 +17,13 @@ class TestTlb:
         assert tlb.lookup(1, 0x10) == "translation"
         assert tlb.hits == 1 and tlb.misses == 1
 
+    def test_count_stands_for_back_to_back_lookups(self):
+        tlb = Tlb(CycleCounter())
+        assert tlb.lookup(1, 0x10, count=3) is None
+        tlb.insert(1, 0x10, "translation")
+        assert tlb.lookup(1, 0x10, count=2) == "translation"
+        assert tlb.hits == 2 and tlb.misses == 3
+
     def test_flush_page_costs_measured_cycles(self):
         cycles = CycleCounter()
         tlb = Tlb(cycles)

@@ -5,7 +5,7 @@ import pytest
 from repro.cloud import Cloud, FleetError
 from repro.common import crypto
 from repro.common.constants import PAGE_SIZE
-from repro.common.errors import ReproError
+from repro.common.errors import PhysicalMemoryError, ReproError
 from repro.core import migration
 from repro.core.invariants import check_invariants
 from repro.core.lifecycle import read_kernel_payload
@@ -107,6 +107,33 @@ class TestFixedHosts:
                                          guest_frames=16)
             tenant.ctx.hypercall(hc.HC_SCHED_YIELD)
             assert tenant.host_index == 0
+
+
+class TestLaunchOutOfHostFrames:
+    """The plane counts guest frames only, so a launch can reach a host
+    whose frames run out during the NPT population; the failed launch
+    must hand back everything it took."""
+
+    def test_failed_launch_leaves_the_host_as_it_was(self):
+        cloud = Cloud(hosts=1, frames=512, seed=3)
+        host = cloud.host(0)
+        for launched in range(64):
+            free = host.machine.allocator.free_count
+            domains = len(host.hypervisor.domains)
+            try:
+                cloud.launch_tenant("t%d" % launched,
+                                    GuestOwner(seed=launched),
+                                    guest_frames=32)
+            except PhysicalMemoryError:
+                break
+        else:
+            pytest.fail("the host never ran out of frames")
+        assert launched == 12
+        assert len(host.hypervisor.domains) == domains == 13
+        assert host.machine.allocator.free_count == free
+        assert cloud.inventory() == {0: sorted("t%d" % i for i in range(12))}
+        assert check_invariants(host) == []
+        assert host.fidelius.verify_audit_chain()
 
 
 class TestInterruptInjection:
