@@ -58,16 +58,6 @@ HOOK_EVENTS = (
 )
 
 
-def _npt_leaf_flags(writable, c_bit):
-    """The flags of an NPT leaf entry the hypervisor installs."""
-    flags = PTE_PRESENT | PTE_USER
-    if writable:
-        flags |= PTE_WRITABLE
-    if c_bit:
-        flags |= PTE_C_BIT
-    return flags
-
-
 class _NptTableAllocator:
     """``allocate_frame`` hook bound to one domain's NPT.
 
@@ -204,8 +194,9 @@ class Hypervisor:
 
         The NPT is prepopulated in a batch unless ``lazy_npt`` is set —
         the behaviour Section 4.3.4 leans on for performance.  A
-        population that fails (no free frame, a denied gated write)
-        destroys the domain before the error propagates.
+        construction that fails after the NPT root exists (no free
+        frame, a denied gated write) destroys the domain before the
+        error propagates.
         """
         domid = self._next_domid
         self._next_domid += 1
@@ -219,29 +210,23 @@ class Hypervisor:
             self.machine,
             allocate_frame=_NptTableAllocator(self, domain),
         )
-        gt_frame = self.machine.allocator.alloc()
-        domain.grant_table = GrantTable(self.machine.memory, gt_frame)
-        self._fire("grant_table_created", domain, gt_frame)
-        for _ in range(vcpus):
-            domain.add_vcpu()
-        self.domains[domid] = domain
-        self._fire("domain_created", domain)
-        if not self.lazy_npt:
-            # _populate_gfn per gfn, with one walker and each leaf table
-            # located once: the same frames, hooks and gated writes
-            walker = self._software_npt_walker(domain)
-            flags = _npt_leaf_flags(writable=True, c_bit=False)
-            leaves = {}
-            try:
+        try:
+            gt_frame = self.machine.allocator.alloc()
+            domain.grant_table = GrantTable(self.machine.memory, gt_frame)
+            self._fire("grant_table_created", domain, gt_frame)
+            for _ in range(vcpus):
+                domain.add_vcpu()
+            self.domains[domid] = domain
+            self._fire("domain_created", domain)
+            if not self.lazy_npt:
+                leaves = {}
                 for gfn in range(guest_frames):
-                    hpfn = self.alloc_guest_frame(domain)
-                    walker.map(domain.npt.root_pfn, gfn * PAGE_SIZE, hpfn,
-                               flags, leaves=leaves)
-            except ReproError:
-                # fail closed: out of frames or a denied write must not
-                # leave a half-built domain holding what it took
-                self.destroy_domain(domain)
-                raise
+                    self._populate_gfn(domain, gfn, leaves)
+        except ReproError:
+            # fail closed: out of frames or a denied write must not
+            # leave a half-built domain holding what it took
+            self.destroy_domain(domain)
+            raise
         return domain
 
     # -- IOMMU (extension) -------------------------------------------------------
@@ -313,9 +298,9 @@ class Hypervisor:
         self._fire("guest_frame_alloc", domain, pfn)
         return pfn
 
-    def _populate_gfn(self, domain, gfn):
+    def _populate_gfn(self, domain, gfn, leaves=None):
         hpfn = self.alloc_guest_frame(domain)
-        self.fill_npt(domain, gfn, hpfn)
+        self.fill_npt(domain, gfn, hpfn, leaves=leaves)
         return hpfn
 
     # -- NPT management (software path) ---------------------------------------------------------
@@ -328,11 +313,21 @@ class Hypervisor:
                 self.write_word(pa, value.to_bytes(8, "little")),
         )
 
-    def fill_npt(self, domain, gfn, hpfn, writable=True, c_bit=False):
-        """Install GPA->HPA through the software (gated) write path."""
+    def fill_npt(self, domain, gfn, hpfn, writable=True, c_bit=False,
+                 leaves=None):
+        """Install GPA->HPA through the software (gated) write path.
+
+        A batch passes one ``leaves`` dict for all its gfns, so each
+        leaf table is located once (:meth:`PageTableWalker.map`).
+        """
+        flags = PTE_PRESENT | PTE_USER
+        if writable:
+            flags |= PTE_WRITABLE
+        if c_bit:
+            flags |= PTE_C_BIT
         walker = self._software_npt_walker(domain)
-        walker.map(domain.npt.root_pfn, gfn * PAGE_SIZE, hpfn,
-                   _npt_leaf_flags(writable, c_bit))
+        walker.map(domain.npt.root_pfn, gfn * PAGE_SIZE, hpfn, flags,
+                   leaves=leaves)
 
     def set_npt_flags(self, domain, gfn, set_mask=0, clear_mask=0):
         entry_pa = domain.npt.entry_pa(gfn * PAGE_SIZE)
@@ -567,9 +562,11 @@ class Hypervisor:
             self._fire("table_frame_release", domain, pfn)
             if allocator.is_allocated(pfn):
                 allocator.free(pfn)
-        self._fire("table_frame_release", domain, domain.grant_table.frame_pfn)
-        if allocator.is_allocated(domain.grant_table.frame_pfn):
-            allocator.free(domain.grant_table.frame_pfn)
+        if domain.grant_table is not None:
+            gt_frame = domain.grant_table.frame_pfn
+            self._fire("table_frame_release", domain, gt_frame)
+            if allocator.is_allocated(gt_frame):
+                allocator.free(gt_frame)
         self.domains.pop(domain.domid, None)
 
     # -- plain inspection helpers (legitimately needed; also the attack surface) --------------------------
